@@ -1,9 +1,9 @@
 // Command rlckitd serves rlckit's interconnect analysis over HTTP: the
 // paper as a design-time service. It answers delay, inductance
 // screening, repeater sizing and Monte Carlo population questions as
-// JSON POST endpoints, with a canonical-key response cache, micro-
-// batched compute on a bounded worker pool, and 429 backpressure when
-// the in-flight limit is reached.
+// JSON POST endpoints, with a canonical-key response cache, compute
+// bounded to a worker count of slots, and 429 backpressure when the
+// in-flight limit is reached.
 //
 //	rlckitd -addr :8080 -cache 8192 -max-inflight 512 -workers 8
 //
@@ -18,7 +18,7 @@
 //	POST /v1/session/{id}/edit  {"edits":[{"op":"branch",..},..]} -> re-analyzed result
 //	DELETE /v1/session/{id}     close a session early
 //	GET  /healthz       liveness + version
-//	GET  /debug/vars    expvar metrics (rlckitd map: requests, cache, batching,
+//	GET  /debug/vars    expvar metrics (rlckitd map: requests, cache, computes,
 //	                    reduced-order mor_hits/mor_fallbacks)
 //
 // -pprof addr starts a net/http/pprof side listener (separate from the
@@ -70,9 +70,7 @@ func main() {
 		addr        = flag.String("addr", ":8080", "listen address")
 		cacheSize   = flag.Int("cache", serve.DefaultCacheEntries, "response cache entries (negative disables)")
 		maxInflight = flag.Int("max-inflight", serve.DefaultMaxInFlight, "max concurrently admitted requests; excess get 429 (negative = unlimited)")
-		workers     = flag.Int("workers", 0, "compute pool size (0 = GOMAXPROCS)")
-		maxBatch    = flag.Int("max-batch", 64, "max coalesced single-net batch size")
-		batchWindow = flag.Duration("batch-window", 0, "hold the first request of a batch up to this long to let it fill (0 = no added latency)")
+		workers     = flag.Int("workers", 0, "max concurrent single-net computes, and the pool size of each sweep (0 = GOMAXPROCS)")
 		reqTimeout  = flag.Duration("request-timeout", 0, "per-request compute budget; over-budget requests get 503 or a degraded answer (0 = uncapped)")
 		sessionTTL  = flag.Duration("session-ttl", serve.DefaultSessionTTL, "what-if session idle TTL before eviction (0 = never evict on idle)")
 		maxSessions = flag.Int("max-sessions", serve.DefaultMaxSessions, "max live what-if sessions; opening past the cap evicts the least recently used")
@@ -107,8 +105,6 @@ func main() {
 		Workers:          *workers,
 		CacheEntries:     *cacheSize,
 		MaxInFlight:      *maxInflight,
-		MaxBatch:         *maxBatch,
-		BatchWindow:      *batchWindow,
 		RequestTimeout:   *reqTimeout,
 		SessionTTL:       ttl,
 		MaxSessions:      *maxSessions,
@@ -203,6 +199,13 @@ func run(addr, pprofAddr string, cfg serve.Config, grace time.Duration, ready, p
 		ReadHeaderTimeout: 5 * time.Second,
 	}
 
+	// Catch the termination signals before announcing readiness: a
+	// SIGTERM that lands in between would otherwise kill the process
+	// without a graceful drain.
+	sigCh := make(chan os.Signal, 1)
+	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigCh)
+
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(ln) }()
 	log.Printf("rlckitd %s listening on %s (workers=%d cache=%d max-inflight=%d)",
@@ -210,10 +213,6 @@ func run(addr, pprofAddr string, cfg serve.Config, grace time.Duration, ready, p
 	if ready != nil {
 		ready <- ln.Addr()
 	}
-
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigCh)
 
 	select {
 	case sig := <-sigCh:

@@ -6,7 +6,7 @@
 //
 //   - serve     — the HTTP serving layer: /v1/{delay,screen,repeaters,
 //     sweep} JSON endpoints with a canonical-key response cache and
-//     micro-batched compute (wrapped by cmd/rlckitd)
+//     compute bounded to a worker count (wrapped by cmd/rlckitd)
 //   - cache     — sharded LRU under the serving layer, keyed by the
 //     canonical values of (Line, Drive, config)
 //   - core      — the paper's closed-form RLC delay model (ζ, ωn, Eq. 9)
@@ -80,9 +80,9 @@
 //
 // cmd/rlckitd exposes the same analyses over HTTP as JSON endpoints —
 // POST /v1/delay, /v1/screen, /v1/repeaters, /v1/sweep — with a
-// sharded LRU response cache keyed by canonical request values,
-// micro-batching of concurrent single-net requests onto the shared
-// worker pool, 429 backpressure, expvar metrics and graceful
+// sharded LRU response cache keyed by canonical request values, at
+// most a worker count of concurrent single-net computes (each on its
+// own request goroutine), 429 backpressure, expvar metrics and graceful
 // shutdown. Responses are pure functions of the request body, so they
 // are byte-identical across worker counts and cache states.
 //

@@ -6,7 +6,7 @@
 //
 // drives mixed traffic (delay, repeaters, sweep, tree) through a real
 // HTTP server via the retrying client (internal/client) while seeded
-// failpoints (internal/faultinject) fire panics in batched computes,
+// failpoints (internal/faultinject) fire panics in single-net computes,
 // corrupt cache entries, fail band-LU factorizations and stall pool
 // workers, and a fraction of requests are canceled mid-flight.
 //

@@ -7,9 +7,9 @@
 // physics is wrong) are never retried.
 //
 // The server's Retry-After hint is honored when present: an adaptive
-// hint from the batcher queue beats a blind backoff curve. Either way
-// the delay is capped at MaxDelay, and the caller's context cancels a
-// sleeping retry immediately.
+// hint from the server's compute-slot queue beats a blind backoff
+// curve. Either way the delay is capped at MaxDelay, and the caller's
+// context cancels a sleeping retry immediately.
 //
 // The serving layer's responses are pure functions of the request
 // body, so retries are safe by construction; the chaos suite

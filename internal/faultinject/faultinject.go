@@ -4,7 +4,7 @@
 // Production builds pay nothing: without the `faultinject` build tag,
 // Active is the constant false and every hook is an empty inlinable
 // no-op, so the tagged call sites (band-LU factorization, pool
-// workers, the serve batcher and response cache) compile to dead
+// workers, the serve compute and response cache) compile to dead
 // code. Test builds enable the hooks with
 //
 //	go test -tags faultinject ...
@@ -30,8 +30,8 @@ const (
 	SiteFactor = "numeric.factor"
 	// SitePoolWorker delays a pool worker between claimed indices.
 	SitePoolWorker = "pool.worker"
-	// SiteBatch panics inside a batched serve compute closure (the
-	// handler's recover converts it to a 500).
+	// SiteBatch panics inside a single-net serve compute, after it took
+	// its compute slot (compute's recover converts it to a 500).
 	SiteBatch = "serve.batch"
 	// SiteCache corrupts a response-cache entry as it is stored (the
 	// integrity checksum detects it on the next hit).

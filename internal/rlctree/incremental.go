@@ -114,8 +114,10 @@ type Incremental struct {
 	ws   momentWorkspace
 	memo map[momentKey]momentVal
 
-	// Edits pending reduced-model sync, and the structural flag.
-	dirty       map[int]bool
+	// Edits pending reduced-model sync (a flag per node, so a sync
+	// folds them in ascending node order and a replay of the same edits
+	// rounds identically), and the structural flag.
+	dirty       []bool
 	driverDirty bool
 	structDirty bool
 
@@ -157,7 +159,7 @@ func NewIncremental(t *Tree, d Drive, cfg Config) (*Incremental, error) {
 		d:     d,
 		cfg:   cfg.withDefaults(),
 		memo:  make(map[momentKey]momentVal),
-		dirty: make(map[int]bool),
+		dirty: make([]bool, ct.Len()),
 	}, nil
 }
 
@@ -654,7 +656,10 @@ func (inc *Incremental) syncReduced() error {
 		changed = true
 		return nil
 	}
-	for node := range inc.dirty {
+	for node, dirty := range inc.dirty {
+		if !dirty {
+			continue
+		}
 		if pi := inc.pR[node]; pi >= 0 {
 			if err := apply(pi, inc.t.r[node]); err != nil {
 				return err

@@ -2,6 +2,7 @@ package rlctree
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -207,6 +208,51 @@ func TestIncrementalReducedFastPath(t *testing.T) {
 	st := inc.Stats()
 	if st.ReducedFast != 8 || st.Recerts != 0 || st.Fallbacks != 0 {
 		t.Errorf("in-envelope script stats: %+v", st)
+	}
+}
+
+// TestIncrementalReducedReplayDeterministic: two Incrementals fed the
+// same multi-node edit batches must read bit-identical reduced delays.
+// A session rebuilt by journal replay relies on it: each sync folds
+// its pending edits into the frozen pencil in ascending node order, so
+// the floating-point sums round the same way every time.
+func TestIncrementalReducedReplayDeterministic(t *testing.T) {
+	var incs [2]*Incremental
+	for i := range incs {
+		inc, err := NewIncremental(buildBalanced(t), Drive{Rtr: 80}, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		incs[i] = inc
+	}
+	n := incs[0].t.Len()
+	rng := rand.New(rand.NewSource(11))
+	for batch := 0; batch < 10; batch++ {
+		nodes := rng.Perm(n - 1)
+		factors := make([]float64, len(nodes))
+		for k := range factors {
+			factors[k] = 0.9 + 0.2*rng.Float64()
+		}
+		var res [2]*Result
+		for i, inc := range incs {
+			for k, node := range nodes {
+				r, l, _, err := inc.Branch(node + 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := inc.SetBranch(node+1, r*factors[k], l*factors[k]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var err error
+			if res[i], err = inc.Analyze(context.Background(), EngineReduced); err != nil {
+				t.Fatalf("batch %d: %v", batch, err)
+			}
+		}
+		sameBits(t, fmt.Sprintf("batch %d", batch), res[0], res[1])
+	}
+	if st := incs[0].Stats(); st.ReducedFast == 0 {
+		t.Fatalf("no read took the reduced fast path: %+v", st)
 	}
 }
 

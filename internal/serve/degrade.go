@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"runtime"
 	"time"
+
+	"rlckit"
 )
 
 // Deadline-aware graceful degradation: when a request arrives with a
@@ -71,14 +73,14 @@ func divideByWorkers(total time.Duration, workers int) time.Duration {
 }
 
 // sweepSampleCost returns the per-sample cost estimate of a sweep
-// estimator (canonical byte form).
-func sweepSampleCost(est uint8) time.Duration {
+// estimator.
+func sweepSampleCost(est rlckit.SweepEstimator) time.Duration {
 	switch est {
-	case sweepEstSmart:
+	case rlckit.SweepEstimatorSmart:
 		return costSweepSmart
-	case sweepEstSimulated:
+	case rlckit.SweepEstimatorSimulated:
 		return costSweepSimulated
-	case sweepEstReduced:
+	case rlckit.SweepEstimatorReduced:
 		return costSweepReduced
 	default:
 		return costSweepClosed
@@ -87,35 +89,18 @@ func sweepSampleCost(est uint8) time.Duration {
 
 // sweepDowngrade is the next-cheaper estimator in the chain, or the
 // input itself when there is nothing cheaper.
-func sweepDowngrade(est uint8) uint8 {
-	switch est {
-	case sweepEstSimulated:
-		return sweepEstReduced
-	case sweepEstReduced, sweepEstSmart:
-		return sweepEstClosed
-	default:
-		return sweepEstClosed
+func sweepDowngrade(est rlckit.SweepEstimator) rlckit.SweepEstimator {
+	if est == rlckit.SweepEstimatorSimulated {
+		return rlckit.SweepEstimatorReduced
 	}
-}
-
-func estimatorName(est uint8) string {
-	switch est {
-	case sweepEstSmart:
-		return "smart"
-	case sweepEstSimulated:
-		return "simulated"
-	case sweepEstReduced:
-		return "reduced"
-	default:
-		return "closed"
-	}
+	return rlckit.SweepEstimatorClosed
 }
 
 // degradeSweep picks the estimator a sweep of `samples` total samples
-// should run with under ctx's budget. It returns the chosen canonical
-// estimator and, when that differs from the request, the reason string
-// for the response metadata.
-func degradeSweep(ctx context.Context, requested uint8, samples, workers int) (est uint8, reason string) {
+// should run with under ctx's budget. It returns the chosen estimator
+// and, when that differs from the request, the reason string for the
+// response metadata.
+func degradeSweep(ctx context.Context, requested rlckit.SweepEstimator, samples, workers int) (est rlckit.SweepEstimator, reason string) {
 	budget, ok := remainingBudget(ctx)
 	if !ok {
 		return requested, ""
@@ -123,7 +108,7 @@ func degradeSweep(ctx context.Context, requested uint8, samples, workers int) (e
 	est = requested
 	for {
 		cost := divideByWorkers(time.Duration(samples)*sweepSampleCost(est), workers)
-		if float64(cost) <= budgetSlack*float64(budget) || est == sweepEstClosed {
+		if float64(cost) <= budgetSlack*float64(budget) || est == rlckit.SweepEstimatorClosed {
 			break
 		}
 		est = sweepDowngrade(est)
@@ -133,17 +118,17 @@ func degradeSweep(ctx context.Context, requested uint8, samples, workers int) (e
 	}
 	cost := divideByWorkers(time.Duration(samples)*sweepSampleCost(requested), workers)
 	return est, fmt.Sprintf("estimator %s needs ~%s for %d samples but the deadline leaves %s; degraded to %s",
-		estimatorName(requested), cost.Round(time.Millisecond), samples, budget.Round(time.Millisecond), estimatorName(est))
+		requested, cost.Round(time.Millisecond), samples, budget.Round(time.Millisecond), est)
 }
 
-// treeEngineCost estimates one tree analysis with the given canonical
-// engine on a tree of `nodes` nodes.
-func treeEngineCost(engine uint8, nodes int) time.Duration {
+// treeEngineCost estimates one tree analysis with the given engine on a
+// tree of `nodes` nodes.
+func treeEngineCost(engine rlckit.TreeEngine, nodes int) time.Duration {
 	n := time.Duration(nodes)
 	switch engine {
-	case treeEngineMNA:
+	case rlckit.TreeEngineMNA:
 		return n * costTreeMNAPerNode
-	case treeEngineReduced:
+	case rlckit.TreeEngineReduced:
 		return costTreeReducedBuild + n*costTreeReducedPerNode
 	default:
 		return n * costTreeClosedPerNode
@@ -151,34 +136,23 @@ func treeEngineCost(engine uint8, nodes int) time.Duration {
 }
 
 // treeDowngrade is the next-cheaper tree engine in the chain.
-func treeDowngrade(engine uint8) uint8 {
-	if engine == treeEngineMNA {
-		return treeEngineReduced
+func treeDowngrade(engine rlckit.TreeEngine) rlckit.TreeEngine {
+	if engine == rlckit.TreeEngineMNA {
+		return rlckit.TreeEngineReduced
 	}
-	return treeEngineClosed
-}
-
-func treeEngineName(engine uint8) string {
-	switch engine {
-	case treeEngineMNA:
-		return "mna"
-	case treeEngineReduced:
-		return "reduced"
-	default:
-		return "closed"
-	}
+	return rlckit.TreeEngineClosed
 }
 
 // degradeTree picks the engine a tree analysis of `nodes` nodes should
 // run with under ctx's budget, mirroring degradeSweep.
-func degradeTree(ctx context.Context, requested uint8, nodes int) (engine uint8, reason string) {
+func degradeTree(ctx context.Context, requested rlckit.TreeEngine, nodes int) (engine rlckit.TreeEngine, reason string) {
 	budget, ok := remainingBudget(ctx)
 	if !ok {
 		return requested, ""
 	}
 	engine = requested
 	for {
-		if float64(treeEngineCost(engine, nodes)) <= budgetSlack*float64(budget) || engine == treeEngineClosed {
+		if float64(treeEngineCost(engine, nodes)) <= budgetSlack*float64(budget) || engine == rlckit.TreeEngineClosed {
 			break
 		}
 		engine = treeDowngrade(engine)
@@ -187,6 +161,6 @@ func degradeTree(ctx context.Context, requested uint8, nodes int) (engine uint8,
 		return engine, ""
 	}
 	return engine, fmt.Sprintf("engine %s needs ~%s for %d nodes but the deadline leaves %s; degraded to %s",
-		treeEngineName(requested), treeEngineCost(requested, nodes).Round(time.Millisecond),
-		nodes, budget.Round(time.Millisecond), treeEngineName(engine))
+		requested, treeEngineCost(requested, nodes).Round(time.Millisecond),
+		nodes, budget.Round(time.Millisecond), engine)
 }

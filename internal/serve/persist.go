@@ -9,11 +9,11 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"rlckit"
+	"rlckit/internal/cache"
 	"rlckit/internal/store"
 )
 
@@ -45,30 +45,26 @@ const (
 	nsPencil uint8 = 2
 )
 
+// maxPencils bounds the pencils held in memory, and so in snapshots. A
+// 30-sink tree's pencil is ~200 KB; without a bound, a daemon fed
+// fresh reduced trees grows by that much per tree. A pencil evicted
+// least-recently-used only costs its tree a rebuild.
+const maxPencils = 64
+
 // pencilStore is the Server's rlckit.TreeConfig.Pencils backend: an
-// in-memory map of certified reduced-model pencils keyed by the exact
+// LRU of certified reduced-model pencils keyed by the exact
 // tree+drive+config bits, persisted through the snapshot store when
 // one is configured. Safe for concurrent use.
 type pencilStore struct {
-	mu     sync.Mutex
-	m      map[string][]byte
-	hits   atomic.Uint64
+	lru    *cache.Cache[string, []byte]
 	builds atomic.Uint64
 }
 
 func newPencilStore() *pencilStore {
-	return &pencilStore{m: make(map[string][]byte)}
+	return &pencilStore{lru: cache.New[string, []byte](maxPencils)}
 }
 
-func (p *pencilStore) GetPencil(key string) ([]byte, bool) {
-	p.mu.Lock()
-	v, ok := p.m[key]
-	p.mu.Unlock()
-	if ok {
-		p.hits.Add(1)
-	}
-	return v, ok
-}
+func (p *pencilStore) GetPencil(key string) ([]byte, bool) { return p.lru.Get(key) }
 
 func (p *pencilStore) PutPencil(key string, pencil []byte) {
 	p.builds.Add(1)
@@ -77,25 +73,22 @@ func (p *pencilStore) PutPencil(key string, pencil []byte) {
 
 // restore inserts without counting a build (recovery path).
 func (p *pencilStore) restore(key string, pencil []byte) {
-	cp := append([]byte(nil), pencil...)
-	p.mu.Lock()
-	p.m[key] = cp
-	p.mu.Unlock()
+	p.lru.Put(key, append([]byte(nil), pencil...))
 }
 
-// snapshot copies the map out in sorted key order, so consecutive
+// snapshot copies the pencils out in sorted key order, so consecutive
 // snapshots of the same state are byte-identical on disk.
 func (p *pencilStore) snapshot() (keys []string, vals [][]byte) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	keys = make([]string, 0, len(p.m))
-	for k := range p.m {
+	byKey := make(map[string][]byte)
+	p.lru.Range(func(k string, v []byte) bool {
 		keys = append(keys, k)
-	}
+		byKey[k] = v
+		return true
+	})
 	sort.Strings(keys)
 	vals = make([][]byte, len(keys))
 	for i, k := range keys {
-		vals[i] = p.m[k]
+		vals[i] = byKey[k]
 	}
 	return keys, vals
 }
@@ -190,7 +183,7 @@ func (s *Server) replayRecord(payload []byte) {
 			s.storeDiscarded.Add(1)
 			return
 		}
-		s.restoreSession(rec.ID, sess, t.Len(), key.method, rec.Body)
+		s.restoreSession(rec.ID, sess, t.Len(), rlckit.TreeEngine(key.method), rec.Body)
 		s.storeRecovered.Add(1)
 	case "edit":
 		s.sessMu.Lock()
@@ -223,7 +216,7 @@ func (s *Server) replayRecord(payload []byte) {
 // restoreSession registers a replayed session under its original ID,
 // advancing sessSeq past it so new sessions never collide with
 // recovered ones.
-func (s *Server) restoreSession(id string, sess *rlckit.Session, nodes int, engine uint8, body json.RawMessage) {
+func (s *Server) restoreSession(id string, sess *rlckit.Session, nodes int, engine rlckit.TreeEngine, body json.RawMessage) {
 	seq := uint64(0)
 	if strings.HasPrefix(id, "s") {
 		if n, err := strconv.ParseUint(id[1:], 10, 64); err == nil {

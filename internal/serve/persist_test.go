@@ -5,9 +5,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
+
+	"rlckit"
 )
 
 // This file tests the crash-safe persistence layer (persist.go): the
@@ -75,6 +78,49 @@ func TestCacheKeyCodecRoundTrip(t *testing.T) {
 				t.Fatalf("key %d: truncation to %d bytes accepted", i, cut)
 			}
 		}
+	}
+}
+
+// TestEngineEnumValuesPinned: the cache key stores the facade's sweep
+// estimator and tree engine values, and snapshot files persist those
+// keys. A reordered enum must fail here instead of silently remapping
+// stored keys to other estimators. It also pins the wire names and the
+// unknown-name error messages.
+func TestEngineEnumValuesPinned(t *testing.T) {
+	for want, e := range sweepEstimators {
+		if int(e) != want {
+			t.Errorf("sweep estimator %s = %d, want %d", e, int(e), want)
+		}
+	}
+	for want, e := range treeEngines {
+		if int(e) != want {
+			t.Errorf("tree engine %s = %d, want %d", e, int(e), want)
+		}
+	}
+	for name, want := range map[string]rlckit.SweepEstimator{
+		"": rlckit.SweepEstimatorClosed, "closed": rlckit.SweepEstimatorClosed,
+		"smart": rlckit.SweepEstimatorSmart, "simulated": rlckit.SweepEstimatorSimulated,
+		"reduced": rlckit.SweepEstimatorReduced,
+	} {
+		if got, err := parseEnum("estimator", name, sweepEstimators); err != nil || got != want {
+			t.Errorf("estimator %q -> %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for name, want := range map[string]rlckit.TreeEngine{
+		"": rlckit.TreeEngineClosed, "closed": rlckit.TreeEngineClosed,
+		"mna": rlckit.TreeEngineMNA, "reduced": rlckit.TreeEngineReduced,
+	} {
+		if got, err := parseEnum("engine", name, treeEngines); err != nil || got != want {
+			t.Errorf("engine %q -> %v, %v; want %v", name, got, err, want)
+		}
+	}
+	if _, err := parseEnum("estimator", "fast", sweepEstimators); err == nil ||
+		err.Error() != `unknown estimator "fast" (have closed, smart, simulated, reduced)` {
+		t.Errorf("unknown estimator error = %v", err)
+	}
+	if _, err := parseEnum("engine", "spice", treeEngines); err == nil ||
+		err.Error() != `unknown engine "spice" (have closed, mna, reduced)` {
+		t.Errorf("unknown engine error = %v", err)
 	}
 }
 
@@ -295,6 +341,36 @@ func TestCorruptSnapshotDiscardedNeverServed(t *testing.T) {
 	}
 	if st := b.Stats(); st.WarmHits != 0 {
 		t.Fatalf("warm_hits = %d for a discarded entry", st.WarmHits)
+	}
+}
+
+// TestPencilStoreBounded: the pencil store holds at most maxPencils
+// pencils however many distinct trees it is offered, keeps the most
+// recent one, and snapshots what it holds in key order.
+func TestPencilStoreBounded(t *testing.T) {
+	p := newPencilStore()
+	const n = 4 * maxPencils
+	for i := range n {
+		p.PutPencil(fmt.Sprintf("tree%04d", i), []byte(fmt.Sprint(i)))
+	}
+	keys, vals := p.snapshot()
+	if len(keys) == 0 || len(keys) > maxPencils {
+		t.Fatalf("store holds %d pencils, want 1..%d", len(keys), maxPencils)
+	}
+	if !sort.StringsAreSorted(keys) {
+		t.Error("snapshot keys not sorted")
+	}
+	for i, k := range keys {
+		var j int
+		if _, err := fmt.Sscanf(k, "tree%04d", &j); err != nil || string(vals[i]) != fmt.Sprint(j) {
+			t.Fatalf("snapshot pairs key %q with pencil %q", k, vals[i])
+		}
+	}
+	if _, ok := p.GetPencil(fmt.Sprintf("tree%04d", n-1)); !ok {
+		t.Error("most recent pencil evicted")
+	}
+	if got := p.builds.Load(); got != n {
+		t.Errorf("builds = %d, want %d", got, n)
 	}
 }
 

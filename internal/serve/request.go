@@ -278,42 +278,35 @@ func parseMethod(s string) (uint8, error) {
 	}
 }
 
-// sweep estimators, in canonical (cache key) form; they reuse the
-// cacheKey.method slot (a sweep has no delay method).
-const (
-	sweepEstClosed uint8 = iota
-	sweepEstSmart
-	sweepEstSimulated
-	sweepEstReduced
+// The sweep estimators and tree engines a request may name, default
+// first. A request names one by its String(); the cache key stores its
+// facade value, so persisted snapshot keys depend on the enum values
+// (TestEngineEnumValuesPinned).
+var (
+	sweepEstimators = []rlckit.SweepEstimator{
+		rlckit.SweepEstimatorClosed, rlckit.SweepEstimatorSmart,
+		rlckit.SweepEstimatorSimulated, rlckit.SweepEstimatorReduced,
+	}
+	treeEngines = []rlckit.TreeEngine{
+		rlckit.TreeEngineClosed, rlckit.TreeEngineMNA, rlckit.TreeEngineReduced,
+	}
 )
 
-func parseEstimator(s string) (uint8, error) {
-	switch s {
-	case "", "closed":
-		return sweepEstClosed, nil
-	case "smart":
-		return sweepEstSmart, nil
-	case "simulated":
-		return sweepEstSimulated, nil
-	case "reduced":
-		return sweepEstReduced, nil
-	default:
-		return 0, fmt.Errorf("unknown estimator %q (have closed, smart, simulated, reduced)", s)
+// parseEnum resolves a request's estimator or engine name: "" selects
+// the default values[0], anything else must match a value's String().
+func parseEnum[E fmt.Stringer](what, name string, values []E) (E, error) {
+	if name == "" {
+		return values[0], nil
 	}
-}
-
-// sweepEstimator maps the canonical estimator byte to the engine enum.
-func sweepEstimator(m uint8) rlckit.SweepEstimator {
-	switch m {
-	case sweepEstSmart:
-		return rlckit.SweepEstimatorSmart
-	case sweepEstSimulated:
-		return rlckit.SweepEstimatorSimulated
-	case sweepEstReduced:
-		return rlckit.SweepEstimatorReduced
-	default:
-		return rlckit.SweepEstimatorClosed
+	names := make([]string, len(values))
+	for i, v := range values {
+		if name == v.String() {
+			return v, nil
+		}
+		names[i] = v.String()
 	}
+	var zero E
+	return zero, fmt.Errorf("unknown %s %q (have %s)", what, name, strings.Join(names, ", "))
 }
 
 // endpoint kinds, for the shared cache's key space and the per-endpoint
@@ -335,7 +328,7 @@ const (
 // fields are comparable; the cache hashes the whole struct.
 type cacheKey struct {
 	kind    uint8
-	method  uint8
+	method  uint8 // delay method, repeater model, or facade SweepEstimator/TreeEngine value
 	line    rlckit.Line
 	drive   rlckit.Drive
 	rise    float64
@@ -511,7 +504,7 @@ func parseSweepRequest(r io.Reader) (SweepRequest, cacheKey, []rlckit.SweepCorne
 	if req.Sigma < 0 || req.Sigma > 2 || req.DriveSigma < 0 || req.DriveSigma > 2 {
 		return req, cacheKey{}, nil, fmt.Errorf("sigmas must be in [0, 2], got %g and %g", req.Sigma, req.DriveSigma)
 	}
-	est, err := parseEstimator(req.Estimator)
+	est, err := parseEnum("estimator", req.Estimator, sweepEstimators)
 	if err != nil {
 		return req, cacheKey{}, nil, err
 	}
@@ -527,7 +520,7 @@ func parseSweepRequest(r io.Reader) (SweepRequest, cacheKey, []rlckit.SweepCorne
 		return req, cacheKey{}, nil, fmt.Errorf("nets × corners × samples = %d exceeds the %d-sample limit", total, maxSweepTotal)
 	}
 	key := cacheKey{
-		kind: kindSweep, method: est, node: req.Node, nets: req.Nets, seed: req.Seed,
+		kind: kindSweep, method: uint8(est), node: req.Node, nets: req.Nets, seed: req.Seed,
 		samples: draws, rise: req.RiseS, sigma: req.Sigma, drvSig: req.DriveSigma,
 		corners: canon, repeat: req.Repeaters,
 	}

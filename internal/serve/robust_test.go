@@ -268,7 +268,7 @@ func TestPoisonedCacheEntryRecomputed(t *testing.T) {
 
 func TestAdaptiveRetryAfter(t *testing.T) {
 	s := newTestServer(t, Config{MaxInFlight: 1})
-	// Prime the latency EWMA with one real batch.
+	// Prime the latency EWMA with one real compute.
 	if rec := post(s.Handler(), "/v1/delay", delayBody); rec.Code != 200 {
 		t.Fatalf("prime: status %d", rec.Code)
 	}
@@ -281,15 +281,30 @@ func TestAdaptiveRetryAfter(t *testing.T) {
 	if got := rec.Header().Get("Retry-After"); got == "" {
 		t.Fatal("429 without Retry-After")
 	}
-	// The hint is computed, not hardcoded: it must respect the clamp
-	// at both ends when the batcher state is pushed there.
-	s.batch.batchNanos.Store(int64(2 * time.Minute))
-	if got := s.retryAfterSecs(); got != 30 {
-		t.Errorf("retryAfterSecs with 2min batches = %d, want clamp 30", got)
+	// The hint is computed, not hardcoded: (waiters per slot + 1) × the
+	// compute-time EWMA (α = ¼), clamped to [1, 30] s.
+	s.computeNanos.Store(0)
+	s.recordCompute(4 * time.Second)
+	s.recordCompute(8 * time.Second) // 4 + (8-4)/4 = 5 s
+	if got := s.retryAfterSecs(); got != 5 {
+		t.Errorf("retryAfterSecs with a 5s EWMA = %d, want 5", got)
 	}
-	s.batch.batchNanos.Store(int64(time.Microsecond))
+	s.waiting.Store(int64(cap(s.slots)))
+	if got := s.retryAfterSecs(); got != 10 {
+		t.Errorf("retryAfterSecs with a slot round of waiters = %d, want 10", got)
+	}
+	s.waiting.Store(0)
+	for range 8 {
+		s.recordCompute(2 * time.Minute)
+	}
+	if got := s.retryAfterSecs(); got != 30 {
+		t.Errorf("retryAfterSecs after 2min computes = %d, want clamp 30", got)
+	}
+	for range 40 {
+		s.recordCompute(time.Microsecond)
+	}
 	if got := s.retryAfterSecs(); got != 1 {
-		t.Errorf("retryAfterSecs with 1µs batches = %d, want floor 1", got)
+		t.Errorf("retryAfterSecs after 1µs computes = %d, want floor 1", got)
 	}
 }
 

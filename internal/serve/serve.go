@@ -18,14 +18,15 @@
 //     vs BenchmarkServeDelayCold). Every stored body carries a
 //     checksum, verified on each hit: a corrupted entry is counted
 //     (Stats.CachePoisoned) and recomputed, never served.
-//   - A micro-batcher (batch.go) coalesces concurrent single-net
-//     requests onto the shared internal/pool worker pool, bounding
-//     compute parallelism at the configured worker count instead of
-//     goroutine-per-request.
+//   - Compute slots bound single-net compute parallelism at the
+//     configured worker count: a cache miss takes one of Workers slots
+//     and computes on its own request goroutine, so a miss waits only
+//     while every slot is busy, never behind another request's
+//     compute.
 //   - An in-flight admission limit sheds excess load with 429 before
 //     any work is queued. The Retry-After hint on 429s and 503s is
-//     adaptive: batcher queue depth times the observed mean batch
-//     latency, not a constant.
+//     adaptive: (slot waiters per slot + 1) times the observed mean
+//     compute time, not a constant.
 //
 // Robustness: every request runs under a context — the client's
 // (r.Context(), so a disconnected client cancels its own compute),
@@ -37,9 +38,9 @@
 // gracefully degraded to a cheaper estimator instead (degrade.go).
 //
 // Responses are pure functions of the request body (sweeps are seeded),
-// so they are byte-identical across worker counts, cache states and
-// batch compositions — the determinism tests enforce this. Degraded
-// responses are flagged and never cached.
+// so they are byte-identical across worker counts and cache states —
+// the determinism tests enforce this. Degraded responses are flagged
+// and never cached.
 package serve
 
 import (
@@ -50,6 +51,7 @@ import (
 	"hash/maphash"
 	"math"
 	"net/http"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -64,8 +66,8 @@ import (
 
 // Config tunes a Server. The zero value serves with defaults.
 type Config struct {
-	// Workers bounds the compute pool for batched single-net requests
-	// and server-side sweeps; <= 0 means GOMAXPROCS.
+	// Workers bounds the compute slots of single-net requests and the
+	// pool of server-side sweeps; <= 0 means GOMAXPROCS.
 	Workers int
 	// CacheEntries bounds the response cache; 0 means DefaultCacheEntries,
 	// negative disables caching.
@@ -73,12 +75,6 @@ type Config struct {
 	// MaxInFlight bounds concurrently admitted requests; excess get 429.
 	// 0 means DefaultMaxInFlight, negative means unlimited.
 	MaxInFlight int
-	// MaxBatch bounds one coalesced batch (default 64).
-	MaxBatch int
-	// BatchWindow holds the first request of a batch up to this long to
-	// let the batch fill. 0 (the default) drains opportunistically with
-	// no added latency.
-	BatchWindow time.Duration
 	// RequestTimeout caps each request's compute budget; 0 means no
 	// server-imposed cap (the client's own context still applies). A
 	// request that exceeds it gets 503 with reason "deadline" — unless
@@ -136,10 +132,11 @@ type Stats struct {
 	// CachePoisoned counts cache hits whose body failed its integrity
 	// checksum and were recomputed instead of served.
 	CachePoisoned uint64 `json:"cache_poisoned"`
-	// Batches and Batched count pool dispatches and the tasks they
-	// carried; Batched/Batches is the mean coalesced batch size.
-	// BatchSkipped counts tasks whose request was canceled before the
-	// dispatcher started them.
+	// Batches and Batched both count started single-net computes, so
+	// Batched/Batches is exactly 1 (the fields keep their names for the
+	// tools that read them). BatchSkipped counts requests whose context
+	// fired while they waited for a compute slot; their compute never
+	// ran.
 	Batches      uint64 `json:"batches"`
 	Batched      uint64 `json:"batched"`
 	BatchSkipped uint64 `json:"batch_skipped"`
@@ -196,12 +193,15 @@ var cacheHashSeed = maphash.MakeSeed()
 // fault (500), unlike the request-physics rejections that map to 400.
 var errPanic = errors.New("internal error")
 
-// Server owns the serving state: cache, batcher, admission tokens and
-// the HTTP mux. Create with New, release with Close.
+// errClosed is returned by compute once the server is closed.
+var errClosed = errors.New("serve: server closed")
+
+// Server owns the serving state: cache, compute slots, admission
+// tokens and the HTTP mux. Create with New, release with Close.
 type Server struct {
 	cfg       Config
 	cache     *cache.Cache[cacheKey, cacheEntry]
-	batch     *batcher
+	slots     chan struct{} // one token per running single-net compute
 	sem       chan struct{}
 	mux       *http.ServeMux
 	baseCtx   context.Context
@@ -217,6 +217,14 @@ type Server struct {
 	poisoned     atomic.Uint64
 	morHits      atomic.Uint64
 	morFallbacks atomic.Uint64
+
+	// Compute-slot counters (compute): computes started, requests that
+	// gave up while waiting for a slot, current slot waiters, and an
+	// EWMA (α = ¼) of one compute's wall time for the Retry-After hint.
+	started      atomic.Uint64
+	skipped      atomic.Uint64
+	waiting      atomic.Int64
+	computeNanos atomic.Int64
 
 	// Persistence (persist.go). store is nil without Config.StoreDir;
 	// pencils is always live (in-memory reduced-model reuse works with
@@ -265,7 +273,11 @@ func New(cfg Config) (*Server, error) {
 	if inflight > 0 {
 		s.sem = make(chan struct{}, inflight)
 	}
-	s.batch = newBatcher(cfg.Workers, cfg.MaxBatch, cfg.BatchWindow)
+	workers := cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	s.slots = make(chan struct{}, workers)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/delay", s.endpoint(kindDelay, s.handleDelay))
 	s.mux.HandleFunc("POST /v1/screen", s.endpoint(kindScreen, s.handleScreen))
@@ -282,7 +294,6 @@ func New(cfg Config) (*Server, error) {
 	})
 	if cfg.StoreDir != "" {
 		if err := s.openStore(); err != nil {
-			s.batch.close()
 			s.baseStop()
 			return nil, err
 		}
@@ -295,14 +306,14 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 // Close stops the server's compute: every in-flight request's context
 // is canceled (engines return at their next checkpoint, handlers
-// answer 503) and the batcher shuts down. Close returns without
+// answer 503) and requests waiting for a compute slot, or arriving
+// later, are refused with 503 "shutdown". Close returns without
 // waiting for the HTTP connections themselves — that is the
 // http.Server's shutdown to drive. Close is idempotent: a daemon's
 // deferred cleanup may race its shutdown path's explicit call.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		s.baseStop()
-		s.batch.close()
 		if s.store != nil {
 			// Stop the snapshot loop, then take a final snapshot while the
 			// sessions are still live so a graceful restart recovers them.
@@ -327,9 +338,9 @@ func (s *Server) Stats() Stats {
 		Deadline:      s.deadlines.Load(),
 		Degraded:      s.degraded.Load(),
 		CachePoisoned: s.poisoned.Load(),
-		Batches:       s.batch.batches.Load(),
-		Batched:       s.batch.batched.Load(),
-		BatchSkipped:  s.batch.skipped.Load(),
+		Batches:       s.started.Load(),
+		Batched:       s.started.Load(),
+		BatchSkipped:  s.skipped.Load(),
 		MORHits:       s.morHits.Load(),
 		MORFallbacks:  s.morFallbacks.Load(),
 	}
@@ -344,7 +355,7 @@ func (s *Server) Stats() Stats {
 		sst := s.store.Stats()
 		st.StoreDiscardedCorrupt += uint64(sst.Corrupt + sst.Stale)
 	}
-	st.PencilHits = s.pencils.hits.Load()
+	st.PencilHits = s.pencils.lru.Stats().Hits
 	st.PencilBuilds = s.pencils.builds.Load()
 	for k, name := range endpointNames {
 		st.Requests[name] = s.requests[k].Load()
@@ -356,15 +367,15 @@ func (s *Server) Stats() Stats {
 }
 
 // retryAfterSecs is the adaptive Retry-After hint: how long until the
-// batcher's current queue has likely drained, from the queue depth and
-// the observed mean batch latency, clamped to [1, 30] seconds.
+// current slot waiters have likely been served, from the waiters per
+// slot and the observed mean compute time, clamped to [1, 30] seconds.
 func (s *Server) retryAfterSecs() int {
-	ew := s.batch.meanBatchNanos()
+	ew := s.computeNanos.Load()
 	if ew <= 0 {
 		return 1
 	}
-	batches := s.batch.queueDepth()/s.batch.maxBatch + 1
-	secs := int(math.Ceil(float64(batches) * float64(ew) / 1e9))
+	rounds := float64(s.waiting.Load())/float64(cap(s.slots)) + 1
+	secs := int(math.Ceil(rounds * float64(ew) / 1e9))
 	if secs < 1 {
 		secs = 1
 	}
@@ -436,7 +447,7 @@ func (s *Server) writeUnavailable(w http.ResponseWriter, err error, reason strin
 	w.Write(append(body, '\n'))
 }
 
-// failCompute maps a compute error to its HTTP response: batcher
+// failCompute maps a compute error to its HTTP response: server
 // shutdown and cancellation to 503 (with metadata and counters),
 // panics and injected faults to 500, everything else — rejections of
 // the request's physics — to 400.
@@ -508,24 +519,79 @@ func (s *Server) cachePut(key cacheKey, body []byte) {
 	s.cache.Put(key, cacheEntry{body: body, sum: sum})
 }
 
-// compute runs fn on the micro-batching pool under ctx, converting
+// compute runs fn on the calling goroutine once it holds a compute
+// slot, so at most Workers single-net computes run at once, converting
 // fn's panics into errPanic so a bad corner of the math never kills
 // the daemon.
-func (s *Server) compute(ctx context.Context, fn func() error) error {
-	var err error
-	berr := s.batch.do(ctx, func() {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("%w: %v", errPanic, r)
-			}
-		}()
-		faultinject.Panic(faultinject.SiteBatch)
-		err = fn()
-	})
-	if berr != nil {
-		return berr
+func (s *Server) compute(ctx context.Context, fn func() error) (err error) {
+	if err := s.acquireSlot(ctx); err != nil {
+		return err
 	}
-	return err
+	s.started.Add(1)
+	start := time.Now()
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("%w: %v", errPanic, r)
+		}
+		s.recordCompute(time.Since(start))
+		<-s.slots
+	}()
+	faultinject.Panic(faultinject.SiteBatch)
+	return fn()
+}
+
+// acquireSlot takes a compute slot, waiting while all are busy. A
+// closed server refuses with errClosed, before and during the wait; a
+// ctx (which may be nil) that fires during the wait returns its typed
+// cancel error, counted in Stats.BatchSkipped.
+func (s *Server) acquireSlot(ctx context.Context) error {
+	closed := s.baseCtx.Done()
+	select {
+	case <-closed:
+		return errClosed
+	default:
+	}
+	select {
+	case s.slots <- struct{}{}:
+		return nil
+	default:
+	}
+	var ctxDone <-chan struct{}
+	if ctx != nil {
+		ctxDone = ctx.Done()
+	}
+	s.waiting.Add(1)
+	defer s.waiting.Add(-1)
+	select {
+	case s.slots <- struct{}{}:
+		return nil
+	case <-closed:
+		return errClosed
+	case <-ctxDone:
+		// Close also cancels every compute context: report it as the
+		// shutdown it is.
+		if s.baseCtx.Err() != nil {
+			return errClosed
+		}
+		s.skipped.Add(1)
+		return cancel.Check(ctx)
+	}
+}
+
+// recordCompute folds one compute's wall time into the Retry-After
+// EWMA (α = ¼). Computes finish concurrently, so the update is a
+// CompareAndSwap loop.
+func (s *Server) recordCompute(d time.Duration) {
+	for {
+		old := s.computeNanos.Load()
+		ew := d.Nanoseconds()
+		if old != 0 {
+			ew = old + (ew-old)/4
+		}
+		if s.computeNanos.CompareAndSwap(old, ew) {
+			return
+		}
+	}
 }
 
 // finish is the shared tail of every miss path: marshal the response
@@ -544,7 +610,7 @@ func (s *Server) finish(w http.ResponseWriter, key cacheKey, resp any, store boo
 	s.writeJSON(w, body, false)
 }
 
-// respond handles the single-net miss path: run fn on the batch pool
+// respond handles the single-net miss path: run fn in a compute slot
 // under the request context to produce a response value, then finish.
 // fn's second return reports whether the response is cacheable (a
 // degraded response is not).
@@ -703,9 +769,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// Deadline-aware degradation: pick the estimator the remaining
 	// budget can afford (the requested one when it fits).
 	totalSamples := req.Nets * len(corners) * key.samples
-	est, reason := degradeSweep(ctx, key.method, totalSamples, s.cfg.Workers)
-	// Sweeps parallelize internally on the same bounded pool size; they
-	// skip the single-net batcher but still hold an admission token.
+	est, reason := degradeSweep(ctx, rlckit.SweepEstimator(key.method), totalSamples, s.cfg.Workers)
+	// Sweeps parallelize internally on a pool of the same size; they
+	// skip the compute slots but still hold an admission token.
 	resp, err := s.runSweep(ctx, req, est, corners)
 	if err != nil {
 		s.failCompute(w, err)
@@ -719,7 +785,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	s.finish(w, key, resp, reason == "")
 }
 
-func (s *Server) runSweep(ctx context.Context, req SweepRequest, est uint8, corners []rlckit.SweepCorner) (SweepResponse, error) {
+func (s *Server) runSweep(ctx context.Context, req SweepRequest, est rlckit.SweepEstimator, corners []rlckit.SweepCorner) (SweepResponse, error) {
 	var resp SweepResponse
 	node, err := rlckit.Technology(req.Node)
 	if err != nil {
@@ -738,7 +804,7 @@ func (s *Server) runSweep(ctx context.Context, req SweepRequest, est uint8, corn
 			DriveSigma: req.DriveSigma,
 		},
 		Workers:   s.cfg.Workers,
-		Estimator: sweepEstimator(est),
+		Estimator: est,
 		Ctx:       ctx,
 	}
 	if req.Repeaters {
@@ -752,7 +818,7 @@ func (s *Server) runSweep(ctx context.Context, req SweepRequest, est uint8, corn
 	resp = SweepResponse{
 		Nets:  len(res.NetNames),
 		Draws: res.Draws, Samples: len(res.Samples),
-		Estimator: estimatorName(est),
+		Estimator: est.String(),
 		Screen:    screenStatsJSON(res.Screen),
 		Delay:     summaryJSON(res.Delay), DelayRC: summaryJSON(res.DelayRC),
 		RCErr: summaryJSON(res.RCErr), AbsRCErr: summaryJSON(res.AbsRCErr),

@@ -2,13 +2,17 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"rlckit/internal/cancel"
 )
 
 func newTestServer(t *testing.T, cfg Config) *Server {
@@ -155,8 +159,9 @@ func TestBackpressure(t *testing.T) {
 
 // TestResponsesIdenticalAcrossWorkers is the serving determinism
 // contract: the same request set, fired concurrently at servers with
-// different worker counts, batch windows and cache settings, produces
-// byte-identical bodies.
+// different worker counts and cache settings, produces byte-identical
+// bodies, whether computed or (on a cached server's second pass)
+// served from the cache.
 func TestResponsesIdenticalAcrossWorkers(t *testing.T) {
 	type reqSpec struct{ path, body string }
 	var reqs []reqSpec
@@ -171,8 +176,7 @@ func TestResponsesIdenticalAcrossWorkers(t *testing.T) {
 	reqs = append(reqs, reqSpec{"/v1/sweep",
 		`{"node":"250nm","nets":50,"seed":7,"rise_s":5e-11,"samples":2,"sigma":0.1,"drive_sigma":0.1,"repeaters":true}`})
 
-	collect := func(cfg Config) []string {
-		s := newTestServer(t, cfg)
+	collect := func(s *Server) []string {
 		out := make([]string, len(reqs))
 		var wg sync.WaitGroup
 		for i, r := range reqs {
@@ -190,58 +194,187 @@ func TestResponsesIdenticalAcrossWorkers(t *testing.T) {
 		return out
 	}
 
-	ref := collect(Config{Workers: 1, CacheEntries: -1})
-	for _, cfg := range []Config{
-		{Workers: 8},
-		{Workers: 3, MaxBatch: 2},
-		{Workers: 8, BatchWindow: 200 * time.Microsecond},
-	} {
-		got := collect(cfg)
-		for i := range ref {
-			if got[i] != ref[i] {
-				t.Fatalf("cfg %+v: response %d (%s) differs\n got: %s\nwant: %s",
-					cfg, i, reqs[i].path, got[i], ref[i])
+	ref := collect(newTestServer(t, Config{Workers: 1, CacheEntries: -1}))
+	for _, workers := range []int{1, 3, 8} {
+		for _, entries := range []int{-1, 0} {
+			cfg := Config{Workers: workers, CacheEntries: entries}
+			s := newTestServer(t, cfg)
+			passes := 1
+			if entries >= 0 {
+				passes = 2
+			}
+			for pass := 0; pass < passes; pass++ {
+				got := collect(s)
+				for i := range ref {
+					if got[i] != ref[i] {
+						t.Fatalf("cfg %+v pass %d: response %d (%s) differs\n got: %s\nwant: %s",
+							cfg, pass, i, reqs[i].path, got[i], ref[i])
+					}
+				}
 			}
 		}
 	}
 }
 
-// TestBatchingCoalesces drives many concurrent requests through a
-// 1-worker server and checks the batcher actually grouped them.
-func TestBatchingCoalesces(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, CacheEntries: -1, BatchWindow: 500 * time.Microsecond})
-	const n = 32
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			body := fmt.Sprintf(`{"line":{"rt":%d,"lt":1e-7,"ct":1e-12,"length":0.01},"drive":{"rtr":250,"cl":1e-13}}`, 400+i)
-			if rec := post(s.Handler(), "/v1/delay", body); rec.Code != 200 {
-				t.Errorf("status %d", rec.Code)
-			}
-		}(i)
+// waitUntil polls cond until it holds, failing the test after a
+// deadline.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
 	}
-	wg.Wait()
-	st := s.Stats()
-	if st.Batched != n {
-		t.Fatalf("Batched = %d, want %d", st.Batched, n)
-	}
-	if st.Batches == 0 || st.Batches > n {
-		t.Fatalf("Batches = %d out of range (0, %d]", st.Batches, n)
-	}
-	t.Logf("batches=%d mean batch size=%.1f", st.Batches, float64(st.Batched)/float64(st.Batches))
 }
 
-func TestBatcherClose(t *testing.T) {
-	b := newBatcher(2, 8, 0)
-	ran := false
-	if err := b.do(context.Background(), func() { ran = true }); err != nil || !ran {
-		t.Fatalf("do before close: err=%v ran=%v", err, ran)
+// holdSlots takes every compute slot, as running computes would, and
+// releases them at test end.
+func holdSlots(t *testing.T, s *Server) {
+	for range cap(s.slots) {
+		s.slots <- struct{}{}
 	}
-	b.close()
-	if err := b.do(context.Background(), func() {}); err != errClosed {
-		t.Fatalf("do after close: err=%v, want errClosed", err)
+	t.Cleanup(func() {
+		for range cap(s.slots) {
+			<-s.slots
+		}
+	})
+}
+
+// A miss waits only for a free compute slot, never for another
+// request's compute to finish: with two slots and one compute parked,
+// a fresh /v1/delay miss answers while the parked compute still runs.
+func TestMissNotBlockedByRunningCompute(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 2})
+	parked, release := make(chan struct{}), make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		done <- s.compute(context.Background(), func() error {
+			close(parked)
+			<-release
+			return nil
+		})
+	}()
+	<-parked
+	answered := make(chan *httptest.ResponseRecorder, 1)
+	go func() { answered <- post(s.Handler(), "/v1/delay", delayBody) }()
+	select {
+	case rec := <-answered:
+		if rec.Code != 200 {
+			t.Errorf("miss beside a parked compute: status %d: %s", rec.Code, rec.Body)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("miss still waiting behind the parked compute after 5s")
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatalf("parked compute: %v", err)
+	}
+}
+
+// A request whose context fires while every slot is busy gives up
+// without running its compute: the typed cancel error, 503 "canceled",
+// counted in BatchSkipped.
+func TestCanceledWhileWaitingForSlot(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 2})
+	holdSlots(t, s)
+	ctx, stop := context.WithCancel(context.Background())
+	ran := false
+	errCh := make(chan error, 1)
+	go func() {
+		errCh <- s.compute(ctx, func() error { ran = true; return nil })
+	}()
+	waitUntil(t, "a slot waiter", func() bool { return s.waiting.Load() == 1 })
+	stop()
+	if err := <-errCh; !errors.Is(err, cancel.ErrCanceled) {
+		t.Fatalf("compute canceled while waiting: err = %v, want ErrCanceled", err)
+	}
+	if ran {
+		t.Error("canceled waiter's compute ran")
+	}
+	if got := s.Stats().BatchSkipped; got != 1 {
+		t.Errorf("BatchSkipped = %d, want 1", got)
+	}
+
+	rec := postCtx(ctx, s.Handler(), "/v1/delay", delayBody)
+	if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), `"reason":"canceled"`) {
+		t.Fatalf("canceled request with every slot busy: status %d: %s", rec.Code, rec.Body)
+	}
+	if got := s.Stats().BatchSkipped; got != 2 {
+		t.Errorf("BatchSkipped = %d, want 2", got)
+	}
+}
+
+// A closed server refuses compute with errClosed, 503 "shutdown" —
+// both a request already waiting for a slot when Close lands and one
+// arriving afterwards — and never runs the closure.
+func TestComputeRefusedAfterClose(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	holdSlots(t, s)
+	waiter := make(chan *httptest.ResponseRecorder, 1)
+	go func() { waiter <- post(s.Handler(), "/v1/delay", delayBody) }()
+	waitUntil(t, "a slot waiter", func() bool { return s.waiting.Load() == 1 })
+	s.Close()
+	for _, rec := range []*httptest.ResponseRecorder{<-waiter, post(s.Handler(), "/v1/delay", delayBody)} {
+		if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), `"reason":"shutdown"`) {
+			t.Errorf("request on a closed server: status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	ran := false
+	if err := s.compute(context.Background(), func() error { ran = true; return nil }); !errors.Is(err, errClosed) {
+		t.Errorf("compute after Close: err = %v, want errClosed", err)
+	}
+	if ran {
+		t.Error("compute after Close ran its closure")
+	}
+	if got := s.Stats().BatchSkipped; got != 0 {
+		t.Errorf("shutdown refusals counted as skipped: BatchSkipped = %d", got)
+	}
+}
+
+// Concurrent misses never run more than Workers computes at once, and
+// every started compute counts as a batch of one.
+func TestComputeSlotsBoundParallelism(t *testing.T) {
+	const workers, n = 3, 64
+	s := newTestServer(t, Config{Workers: workers})
+	var running, peak atomic.Int64
+	full := make(chan struct{})
+	var fullOnce sync.Once
+	var wg sync.WaitGroup
+	for range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			err := s.compute(context.Background(), func() error {
+				defer running.Add(-1)
+				cur := running.Add(1)
+				for p := peak.Load(); cur > p && !peak.CompareAndSwap(p, cur); p = peak.Load() {
+				}
+				if cur == workers {
+					fullOnce.Do(func() { close(full) })
+				}
+				// Hold the slot until every slot has been busy at once, then
+				// a little longer, so computes past the bound would overlap.
+				select {
+				case <-full:
+				case <-time.After(5 * time.Second):
+				}
+				time.Sleep(time.Millisecond)
+				return nil
+			})
+			if err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if p := peak.Load(); p != workers {
+		t.Errorf("peak concurrent computes = %d, want %d", p, workers)
+	}
+	st := s.Stats()
+	if st.Batches != n || st.Batched != n || st.BatchSkipped != 0 {
+		t.Errorf("Batches/Batched/BatchSkipped = %d/%d/%d, want %d/%d/0", st.Batches, st.Batched, st.BatchSkipped, n, n)
 	}
 }
 

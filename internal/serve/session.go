@@ -26,9 +26,9 @@ import (
 // serving mechanisms: the response cache (an edited net's identity is
 // the whole edit history — the embedded results instead stay
 // byte-identical to a cold /v1/tree of the edited net, by sharing
-// treeResponse) and the micro-batcher (a session edit is already
-// sublinear; coalescing would add cross-request ordering that the
-// worker-count determinism tests forbid). Admission control and the
+// treeResponse) and the compute slots (a session edit is already
+// sublinear and serialized by the session's own lock, so it computes
+// inline under the admission limit alone). Admission control and the
 // compute context (client disconnect, request timeout, server close)
 // apply as everywhere else, and deadline-aware degradation picks the
 // result engine with the same degradeTree arithmetic as /v1/tree —
@@ -84,7 +84,7 @@ const maxSessionEdits = 4096
 type liveSession struct {
 	sess   *rlckit.Session
 	nodes  int
-	engine uint8 // default result engine, from the open request
+	engine rlckit.TreeEngine // default result engine, from the open request
 	seq    uint64
 	body   json.RawMessage
 	last   time.Time
@@ -128,7 +128,7 @@ func (s *Server) sweepSessionsLocked(now time.Time) []string {
 // registerSession stores an opened session, evicting the
 // least-recently-used entry if the registry is full. It returns the
 // new ID plus any evicted IDs for the caller to journal.
-func (s *Server) registerSession(sess *rlckit.Session, nodes int, engine uint8, body json.RawMessage) (string, []string) {
+func (s *Server) registerSession(sess *rlckit.Session, nodes int, engine rlckit.TreeEngine, body json.RawMessage) (string, []string) {
 	s.sessMu.Lock()
 	defer s.sessMu.Unlock()
 	now := time.Now()
@@ -200,8 +200,8 @@ func (s *Server) closeSessions() {
 	}
 }
 
-// computeSession runs a session compute inline (no batcher) with the
-// same panic containment as the batched paths.
+// computeSession runs a session compute inline (no compute slot) with
+// the same panic containment as compute.
 func (s *Server) computeSession(fn func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -212,14 +212,14 @@ func (s *Server) computeSession(fn func() error) (err error) {
 	return fn()
 }
 
-// sessionResult reads the session's delay table with the given
-// canonical engine and renders it through the shared /v1/tree response
-// path, returning the marshaled body.
-func (s *Server) sessionResult(ctx context.Context, sess *rlckit.Session, engine uint8, reason string) (json.RawMessage, error) {
+// sessionResult reads the session's delay table with the given engine
+// and renders it through the shared /v1/tree response path, returning
+// the marshaled body.
+func (s *Server) sessionResult(ctx context.Context, sess *rlckit.Session, engine rlckit.TreeEngine, reason string) (json.RawMessage, error) {
 	var res *rlckit.TreeResult
 	err := s.computeSession(func() error {
 		var ferr error
-		res, ferr = sess.Result(ctx, treeEngineOf(engine))
+		res, ferr = sess.Result(ctx, engine)
 		return ferr
 	})
 	if err != nil {
@@ -254,13 +254,14 @@ func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, release := s.computeCtx(r)
 	defer release()
-	engine, reason := degradeTree(ctx, key.method, t.Len())
+	requested := rlckit.TreeEngine(key.method)
+	engine, reason := degradeTree(ctx, requested, t.Len())
 	raw, err := s.sessionResult(ctx, sess, engine, reason)
 	if err != nil {
 		s.failCompute(w, err)
 		return
 	}
-	id, evicted := s.registerSession(sess, t.Len(), key.method, body)
+	id, evicted := s.registerSession(sess, t.Len(), requested, body)
 	s.journalCloses(evicted)
 	s.journalAppend(journalRecord{Op: "open", ID: id, Body: body})
 	s.finishSession(w, SessionOpenResponse{SessionID: id, Nodes: t.Len(), Gen: 0, Result: raw})
@@ -281,7 +282,7 @@ func (s *Server) handleSessionEdit(w http.ResponseWriter, r *http.Request) {
 	}
 	engine := ls.engine
 	if req.Engine != "" {
-		if engine, err = parseTreeEngine(req.Engine); err != nil {
+		if engine, err = parseEnum("engine", req.Engine, treeEngines); err != nil {
 			s.writeError(w, http.StatusBadRequest, err)
 			return
 		}

@@ -14,7 +14,7 @@ import (
 // This file tests the what-if session endpoints. The load-bearing
 // contract: a session edit's embedded result is byte-identical to a
 // cold POST /v1/tree of the edited net — sessions bypass the response
-// cache and the batcher without forking the response encoding.
+// cache and the compute slots without forking the response encoding.
 
 // do drives one request of any method through the handler chain.
 func do(h http.Handler, method, path, body string) *httptest.ResponseRecorder {

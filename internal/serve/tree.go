@@ -95,28 +95,8 @@ type TreeResponse struct {
 // the decoder before any compute is scheduled.
 const maxTreeNodes = 4096
 
-// tree engines, in canonical (cache key) form.
-const (
-	treeEngineClosed uint8 = iota
-	treeEngineMNA
-	treeEngineReduced
-)
-
 func isFinite(v float64) bool {
 	return !math.IsInf(v, 0) && !math.IsNaN(v)
-}
-
-func parseTreeEngine(s string) (uint8, error) {
-	switch s {
-	case "", "closed":
-		return treeEngineClosed, nil
-	case "mna":
-		return treeEngineMNA, nil
-	case "reduced":
-		return treeEngineReduced, nil
-	default:
-		return 0, fmt.Errorf("unknown engine %q (have closed, mna, reduced)", s)
-	}
 }
 
 // canonicalTree renders the exact physics of a validated tree request
@@ -157,7 +137,7 @@ func parseTreeRequest(r io.Reader) (*rlckit.RLCTree, rlckit.TreeDrive, cacheKey,
 	if err := decodeStrict(r, &req); err != nil {
 		return nil, drv, cacheKey{}, err
 	}
-	eng, err := parseTreeEngine(req.Engine)
+	eng, err := parseEnum("engine", req.Engine, treeEngines)
 	if err != nil {
 		return nil, drv, cacheKey{}, err
 	}
@@ -187,7 +167,7 @@ func parseTreeRequest(r io.Reader) (*rlckit.RLCTree, rlckit.TreeDrive, cacheKey,
 	}
 	key := cacheKey{
 		kind:   kindTree,
-		method: eng,
+		method: uint8(eng),
 		drive:  rlckit.Drive{Rtr: drv.Rtr, V: drv.V},
 		tree:   canonicalTree(&req),
 	}
@@ -208,9 +188,9 @@ func (s *Server) handleTree(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	// Deadline-aware degradation: pick the engine the remaining budget
 	// can afford (the requested one when it fits).
-	engine, reason := degradeTree(ctx, key.method, t.Len())
+	engine, reason := degradeTree(ctx, rlckit.TreeEngine(key.method), t.Len())
 	respond(s, w, ctx, key, func() (TreeResponse, bool, error) {
-		cfg := rlckit.TreeConfig{Ctx: ctx, Engine: treeEngineOf(engine), Pencils: s.pencils}
+		cfg := rlckit.TreeConfig{Ctx: ctx, Engine: engine, Pencils: s.pencils}
 		res, err := rlckit.AnalyzeTree(t, drv, cfg)
 		if err != nil {
 			return TreeResponse{}, true, err
@@ -221,18 +201,6 @@ func (s *Server) handleTree(w http.ResponseWriter, r *http.Request) {
 		}
 		return resp, reason == "", nil
 	})
-}
-
-// treeEngineOf maps a canonical engine byte to the facade engine.
-func treeEngineOf(engine uint8) rlckit.TreeEngine {
-	switch engine {
-	case treeEngineMNA:
-		return rlckit.TreeEngineMNA
-	case treeEngineReduced:
-		return rlckit.TreeEngineReduced
-	default:
-		return rlckit.TreeEngineClosed
-	}
 }
 
 // treeResponse renders a tree analysis as the wire response — the one
