@@ -27,7 +27,9 @@ if [ -d internal/rlctree ]; then
   run_bench 'BenchmarkTreeDelay$' ./internal/rlctree
   run_bench 'BenchmarkTreeSweep$' ./internal/sweep
 fi
-# What-if session bench (absent on commits predating internal/session).
+# What-if session benches (absent on commits predating internal/session;
+# BenchmarkWhatIfExactRead is absent before sessions read reduced
+# exactly, and benchgate then treats it as new).
 if [ -d internal/session ]; then
-  run_bench 'BenchmarkWhatIfEditSequence$' ./internal/session
+  run_bench 'BenchmarkWhatIf(EditSequence|ExactRead)$' ./internal/session
 fi

@@ -274,13 +274,10 @@ func AnalyzeTree(t *RLCTree, d TreeDrive, cfg TreeConfig) (*TreeResult, error) {
 // Session is an open what-if analysis over a tree: stream value edits
 // with Session.Apply, read updated per-sink delays with
 // Session.Result. Edits re-use state frozen at open time (moment
-// workspaces, the MNA ordering, the certified Krylov basis), so an
-// edit-and-reanalyze loop runs an order of magnitude faster than
-// re-running AnalyzeTree from scratch. The closed and MNA engines are
-// bit-identical to a cold AnalyzeTree of the edited tree; the reduced
-// engine answers through the frozen certified basis (exact fallback
-// when an edit leaves its envelope and re-certification fails). See
-// internal/session.
+// workspaces, the MNA ordering). Every read is bit-identical to a cold
+// AnalyzeTree of the edited tree: closed and MNA reads to the same
+// engine, and reduced reads — answered by the frozen exact engine, with
+// TreeResult.Fallback set — to cold MNA. See internal/session.
 type Session = session.Session
 
 // SessionEdit is one what-if edit (ops SessionOpBranch /

@@ -1,9 +1,10 @@
 // Command whatif replays an edit script against a stateful what-if
 // session: the tree is loaded once, then each step's edit batch is
 // applied and the per-sink delay table re-read through the session's
-// incremental fast paths (tree-moment updates, reduced-model
-// reprojection, frozen-ordering re-factorization) instead of a
-// from-scratch analysis per step.
+// incremental paths (reused moment workspaces, frozen-ordering
+// re-factorization) instead of a from-scratch analysis per step. The
+// session answers engine "reduced" with the frozen exact engine and
+// says so ("mna (reduced fell back)").
 //
 // The script is JSON:
 //
@@ -23,8 +24,8 @@
 //
 // Branch nodes are 1-based tree indices in declaration order (node 0
 // is the root). Each step is one atomic batch: either every edit in it
-// applies or none do. Results are identical to analyzing the edited
-// tree from scratch with the same engine.
+// applies or none do. Results are bit-identical to analyzing the
+// edited tree from scratch (with engine "mna" for "reduced").
 //
 // Usage:
 //
@@ -178,8 +179,8 @@ func run(o options, out io.Writer) error {
 	}
 
 	st := sess.Stats()
-	fmt.Fprintf(out, "\n%d steps, %d edits applied; fast paths: %d reduced, %d recerts (%d failed), %d exact fallbacks, %d rebuilds\n",
-		len(sc.Steps), st.Edits, st.ReducedFast, st.Recerts, st.RecertFails, st.Fallbacks, st.Rebuilds)
+	fmt.Fprintf(out, "\n%d steps, %d edits applied; %d exact fallbacks, %d rebuilds\n",
+		len(sc.Steps), st.Edits, st.Fallbacks, st.Rebuilds)
 	return nil
 }
 

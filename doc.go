@@ -22,7 +22,7 @@
 //     shared MNA transient, or a multi-output reduced model
 //   - session   — stateful what-if analysis over rlctree's
 //     incremental engine: open a driven tree once, stream value
-//     edits, re-read per-sink delays in far less than a cold
+//     edits, re-read per-sink delays bit-identically to a cold
 //     analysis (OpenSession, cmd/whatif, POST /v1/session)
 //   - conformance — differential cross-engine harness: seeded random
 //     lines and trees through every engine, held to stated bounds in
@@ -103,17 +103,26 @@
 // Interactive tuning loops — resize a branch, re-read the skew —
 // re-analyze the same tree hundreds of times with tiny diffs.
 // OpenSession keeps the analysis state live between edits: the closed
-// form re-runs its moment sweeps in a reused workspace with memoized
-// crossing searches, the exact MNA path re-stamps edited values into a
-// frozen-ordering factorization, and the reduced path reprojects the
-// frozen Krylov basis in O(q²) inside a certified parameter envelope
-// (re-certifying when an edit leaves it, and falling back to the exact
-// engine when re-certification or a time-domain stability check
-// fails). Closed and MNA session results are bit-identical to a cold
-// AnalyzeTree of the edited tree; the reduced path holds the certified
-// tolerance. cmd/whatif replays JSON edit scripts through a session,
-// and the serving layer exposes sessions at POST /v1/session with TTL
-// and LRU-capacity eviction.
+// form re-runs its moment sweeps in a reused workspace, and the exact
+// MNA path re-stamps edited values into a frozen-ordering
+// factorization. A reduced read is answered by the frozen exact engine
+// (TreeResult.Fallback set). cmd/whatif replays JSON edit scripts
+// through a session, and the serving layer exposes sessions at
+// POST /v1/session with TTL and LRU-capacity eviction.
+//
+// # Determinism
+//
+// Every answer is a pure function of its inputs (a deadline-degraded
+// response says so and is never cached), so it is byte-identical
+// across worker counts, GOMAXPROCS, cache hits, retries, warm starts
+// and session journal replay. The delay transients stop at
+// the last probe's first upward 50% crossing, under a step budget of
+// the settling horizon extended 2.5³×; the samples before the stop do
+// not depend on the budget, so a delay has the same bits as a run to
+// any longer horizon. Every session read is bit-identical to a cold
+// AnalyzeTree of the edited tree — closed and MNA reads to the same
+// engine, reduced reads to MNA — and a session is driven by its edit
+// sequence alone.
 //
 // Executables: cmd/rlcdelay, cmd/repeaterplan, cmd/netsim,
 // cmd/paperfigs, cmd/netsweep (the sweep engine's CLI: population

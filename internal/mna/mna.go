@@ -24,6 +24,15 @@
 // scratch (numeric.MulVecTo / BandLU.SolveInPlace) and performs zero
 // heap allocations per timestep, and AC sweeps solve frequency points
 // in parallel across a bounded worker pool.
+//
+// Crossing mode: a delay only needs each probe's first upward crossing
+// of a level (the paper's 50% point), not its waveform. With
+// Options.CrossLevel set, Simulate, Frozen.Simulate and
+// Reduced.Simulate read the crossings inside the step loop, keep no
+// waveform, and stop as soon as every probe has crossed; TEnd is then
+// only a step budget. The run's memory is independent of its step
+// count, and the crossings are bit-identical to reading them off the
+// recorded waveform of a run to any longer horizon.
 package mna
 
 import (
@@ -66,13 +75,35 @@ type Options struct {
 	Dt float64
 	// TEnd is the end time; required, must exceed Dt.
 	TEnd float64
-	// Probes lists node IDs whose voltages are recorded every step.
+	// Probes lists node IDs whose voltages are recorded (in crossing
+	// mode, watched) every step.
 	Probes []int
 	// Ctx, when non-nil, cancels the transient: Simulate checks it
 	// every ctxStride timesteps and returns cancel.ErrCanceled /
 	// ErrDeadline once it is done.
 	Ctx context.Context
+	// CrossLevel, when nonzero, selects crossing mode: each probe's
+	// first upward crossing of CrossLevel is read inside the step loop
+	// into Result.Crossings, no waveform is kept, and the run stops once
+	// every probe has crossed. TEnd becomes a budget: a probe still
+	// below the level at TEnd fails the run with ErrNoCrossing.
+	CrossLevel float64
 }
+
+// CrossBudget is the delay engines' crossing-mode budget for a
+// transient planned to end at tEnd: the plan extended three times by
+// 2.5×, one factor at a time, so the budget — and with it the step
+// count — has fixed bits.
+func CrossBudget(tEnd float64) float64 {
+	for i := 0; i < 3; i++ {
+		tEnd *= 2.5
+	}
+	return tEnd
+}
+
+// ErrNoCrossing reports a crossing-mode run whose step budget ran out
+// before every probe crossed the level.
+var ErrNoCrossing = errors.New("mna: step budget exhausted before every probe crossed the level")
 
 // ctxStride is the transient cancellation checkpoint interval: one
 // context check per 64-step chunk (tens of microseconds of compute on
@@ -84,6 +115,10 @@ const ctxStride = 64
 type Result struct {
 	Time  []float64
 	probe map[int][]float64
+	// Crossings holds, in crossing mode, each probe's first upward
+	// crossing time in Options.Probes order (Time and the waveforms are
+	// then empty).
+	Crossings []float64
 	// Final is the full final state vector (node voltages then branch
 	// currents) in original (pre-permutation) order.
 	Final []float64
@@ -398,24 +433,19 @@ func simulateSys(sys *system, nNodes int, opts Options) (*Result, error) {
 		guLU.SolveTo(x, b0)
 	}
 
-	res := &Result{
-		Time:  make([]float64, 0, steps+1),
-		probe: make(map[int][]float64, len(opts.Probes)),
-	}
-	// Probe state is resolved up front (permuted index → sample slice) so
-	// the recording done every timestep touches no maps and, with the
-	// slices preallocated to full capacity, allocates nothing.
+	// Probe state is resolved up front (permuted index → sample slot) so
+	// the recording done every timestep touches no maps and allocates
+	// nothing.
+	rec := newRecorder(opts, steps)
 	probeAt := make([]int, len(opts.Probes))
-	probeBuf := make([][]float64, len(opts.Probes))
 	for k, p := range opts.Probes {
 		probeAt[k] = sys.perm[p-1]
-		probeBuf[k] = make([]float64, 0, steps+1)
 	}
 	record := func(t float64) {
-		res.Time = append(res.Time, t)
 		for k, pi := range probeAt {
-			probeBuf[k] = append(probeBuf[k], x[pi])
+			rec.y[k] = x[pi]
 		}
+		rec.record(t)
 	}
 	record(0)
 
@@ -438,7 +468,7 @@ func simulateSys(sys *system, nNodes int, opts Options) (*Result, error) {
 		A.MulVecTo(rhsPrev, x)
 	}
 	t := 0.0
-	for s := 0; s < steps; s++ {
+	for s := 0; s < steps && !rec.crossed(); s++ {
 		if s%ctxStride == 0 {
 			if cerr := cancel.Check(opts.Ctx); cerr != nil {
 				return nil, cerr
@@ -473,8 +503,9 @@ func simulateSys(sys *system, nNodes int, opts Options) (*Result, error) {
 		t = t1
 		record(t)
 	}
-	for k, p := range opts.Probes {
-		res.probe[p] = probeBuf[k]
+	res, err := rec.result(opts.Probes, steps)
+	if err != nil {
+		return nil, err
 	}
 
 	// Final state in original ordering.

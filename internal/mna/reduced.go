@@ -70,8 +70,6 @@ type Reduced struct {
 	// scratch (SetClassWeights).
 	gBlocks, cBlocks []*numeric.Matrix
 	combG, combC     []float64
-	// scaling is the per-element incremental state (incremental.go).
-	scaling *elemScaling
 }
 
 // Reduce assembles the circuit and builds a moment-matching reduced
@@ -339,9 +337,10 @@ func (r *Reduced) AC(freqs []float64) (*ACResult, error) {
 }
 
 // Simulate runs a fixed-step transient of the reduced model with the
-// circuit's sources, mirroring Simulate's contract for the reduce-time
-// probes. Only the trapezoidal rule is supported. Each timestep costs
-// O(q²) dense work and no heap allocations.
+// circuit's sources, mirroring Simulate's contract — crossing mode
+// included — for the reduce-time probes. Only the trapezoidal rule is
+// supported. Each timestep costs O(q²) dense work and no heap
+// allocations.
 func (r *Reduced) Simulate(opts Options) (*Result, error) {
 	if opts.Method != Trapezoidal {
 		return nil, errors.New("mna: reduced transient supports the trapezoidal rule only")
@@ -380,23 +379,16 @@ func (r *Reduced) Simulate(opts Options) (*Result, error) {
 	}
 	srcAt(0)
 	tr.Start(u)
-	res := &Result{
-		Time:  make([]float64, 0, steps+1),
-		probe: make(map[int][]float64, len(opts.Probes)),
-	}
-	buf := make([][]float64, len(opts.Probes))
-	for i := range buf {
-		buf[i] = make([]float64, 0, steps+1)
-	}
+	rec := newRecorder(opts, steps)
 	record := func(t float64) {
-		res.Time = append(res.Time, t)
 		for i, k := range outAt {
-			buf[i] = append(buf[i], tr.Output(k))
+			rec.y[i] = tr.Output(k)
 		}
+		rec.record(t)
 	}
 	record(0)
 	t := 0.0
-	for s := 0; s < steps; s++ {
+	for s := 0; s < steps && !rec.crossed(); s++ {
 		if s%ctxStride == 0 {
 			if cerr := cancel.Check(opts.Ctx); cerr != nil {
 				return nil, cerr
@@ -407,10 +399,7 @@ func (r *Reduced) Simulate(opts Options) (*Result, error) {
 		tr.Step(u)
 		record(t)
 	}
-	for i, p := range opts.Probes {
-		res.probe[p] = buf[i]
-	}
-	return res, nil
+	return rec.result(opts.Probes, steps)
 }
 
 // ACReduced thresholds: below these sizes the exact engine wins and

@@ -35,15 +35,27 @@ func InvLinearCrossing(xs, ys []float64, level float64) (float64, error) {
 		return 0, fmt.Errorf("numeric: crossing needs >=2 samples")
 	}
 	for i := 1; i < len(xs); i++ {
-		if ys[i-1] < level && ys[i] >= level {
-			t := (level - ys[i-1]) / (ys[i] - ys[i-1])
-			return xs[i-1] + t*(xs[i]-xs[i-1]), nil
-		}
-		if ys[i-1] == level {
-			return xs[i-1], nil
+		if x, ok := CrossingInInterval(xs[i-1], xs[i], ys[i-1], ys[i], level); ok {
+			return x, nil
 		}
 	}
 	return 0, fmt.Errorf("numeric: signal never crosses %g (range %g..%g)", level, ys[0], ys[len(ys)-1])
+}
+
+// CrossingInInterval is InvLinearCrossing's test on one sample interval
+// (x0, y0)–(x1, y1): it reports whether the interval holds the crossing
+// InvLinearCrossing would return, and where. Streaming readers call it
+// on consecutive intervals to find the same bits without a recorded
+// signal.
+func CrossingInInterval(x0, x1, y0, y1, level float64) (float64, bool) {
+	if y0 < level && y1 >= level {
+		t := (level - y0) / (y1 - y0)
+		return x0 + t*(x1-x0), true
+	}
+	if y0 == level {
+		return x0, true
+	}
+	return 0, false
 }
 
 // Spline is a natural cubic spline through strictly increasing knots.

@@ -87,34 +87,28 @@ func DelayMNA(ln tline.Line, d tline.Drive, cfg MNAConfig) (float64, error) {
 		return 0, err
 	}
 	level := d.Amplitude() / 2
-	tEnd := tEst + delay
-	for attempt := 0; attempt < 4; attempt++ {
-		res, err := mna.Simulate(lad.Ckt, mna.Options{
-			Method: cfg.Method,
-			Dt:     dt,
-			TEnd:   tEnd,
-			Probes: []int{lad.Out},
-		})
-		if err != nil {
-			return 0, err
-		}
-		w, err := res.Waveform(lad.Out)
-		if err != nil {
-			return 0, err
-		}
-		cross, err := w.CrossUp(level)
-		if err == nil {
-			// The trapezoidal rule smears the ideal step across one
-			// timestep: the effective step time is delay − dt/2.
-			eff := delay
-			if cfg.Method == mna.Trapezoidal {
-				eff -= dt / 2
-			}
-			return cross - eff, nil
-		}
-		tEnd *= 2.5
+	// One crossing-mode run: it stops at the far end's first 50%
+	// crossing, within the budget of the settling horizon.
+	res, err := mna.Simulate(lad.Ckt, mna.Options{
+		Method:     cfg.Method,
+		Dt:         dt,
+		TEnd:       mna.CrossBudget(tEst + delay),
+		Probes:     []int{lad.Out},
+		CrossLevel: level,
+	})
+	if errors.Is(err, mna.ErrNoCrossing) {
+		return 0, fmt.Errorf("refeng: MNA response never crossed %g: %w", level, err)
 	}
-	return 0, fmt.Errorf("refeng: MNA response never crossed %g within extended horizon", level)
+	if err != nil {
+		return 0, err
+	}
+	// The trapezoidal rule smears the ideal step across one timestep:
+	// the effective step time is delay − dt/2.
+	eff := delay
+	if cfg.Method == mna.Trapezoidal {
+		eff -= dt / 2
+	}
+	return res.Crossings[0] - eff, nil
 }
 
 // RatfunConfig tunes the pole/residue reference engine.

@@ -59,20 +59,16 @@ func BenchmarkTreeDelay(b *testing.B) {
 // point-to-point analyses of the same net would cost.
 func perSinkDelays(tr *Tree, d Drive, cfg Config) ([]float64, error) {
 	cfg = cfg.withDefaults()
-	horizon, tFast := tr.timeScales(d, closedTable(tr, d))
-	dt := math.Min(horizon/float64(cfg.StepsPerScale), tFast/30)
-	delay := 10 * dt
+	dt, delay, tEnd := tr.transientPlan(d, cfg, closedTable(tr, d))
 	ckt, nodeOf, err := tr.ToCircuit(d, delay)
 	if err != nil {
 		return nil, err
 	}
+	sim := func(o mna.Options) (*mna.Result, error) { return mna.Simulate(ckt, o) }
 	out := make([]float64, len(tr.Sinks()))
 	for k, node := range tr.Sinks() {
-		res, err := mna.Simulate(ckt, mna.Options{Dt: dt, TEnd: horizon + delay, Probes: []int{nodeOf[node]}})
-		if err != nil {
-			return nil, err
-		}
-		one, err := extractCrossings(res, []int{nodeOf[node]}, d.Amplitude()/2, delay-dt/2)
+		opts := mna.Options{Dt: dt, TEnd: tEnd, Probes: []int{nodeOf[node]}, CrossLevel: d.Amplitude() / 2}
+		one, err := runCrossings(sim, opts, delay-dt/2, "sink")
 		if err != nil {
 			return nil, err
 		}

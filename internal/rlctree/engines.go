@@ -2,6 +2,7 @@ package rlctree
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -61,12 +62,6 @@ type Config struct {
 	// returns cancel.ErrCanceled/ErrDeadline instead of a result. The
 	// closed-form engine is microseconds of work and never checks.
 	Ctx context.Context
-	// AnchorSpread is the incremental engine's anchor bracketing
-	// factor (default 2): NewIncremental builds the frozen reduced
-	// basis with ×spread and ÷spread anchors, and edits whose
-	// value ratios stay inside the certified envelope evaluate
-	// without re-certification. Analyze ignores it.
-	AnchorSpread float64
 	// Pencils, when non-nil, persists certified reduced models across
 	// analyses (and restarts, when backed by the warm-start store):
 	// before building, EngineReduced asks the store for the pencil
@@ -99,9 +94,6 @@ func (c Config) withDefaults() Config {
 		// transfer-function error can already move a 50% crossing by
 		// more than that on shallow-sloped tree responses.
 		c.ValTol = 1e-3
-	}
-	if c.AnchorSpread == 0 {
-		c.AnchorSpread = 2
 	}
 	return c
 }
@@ -361,9 +353,10 @@ func (t *Tree) timeScales(d Drive, table []SinkDelay) (horizon, tFast float64) {
 
 // transientPlan derives the shared transient parameters from the
 // closed-form table: the timestep, the source step delay, and the
-// first-attempt end time. Both simulation engines — and their
-// incremental (frozen) twins, which must reproduce the cold engines'
-// arithmetic exactly — plan through this one function.
+// planned end time (a settling horizon; mna.CrossBudget widens it to
+// the run's step budget). Both simulation engines — and the incremental
+// frozen MNA twin, which must reproduce the cold engine's arithmetic
+// exactly — plan through this one function.
 func (t *Tree) transientPlan(d Drive, cfg Config, table []SinkDelay) (dt, delay, tEnd float64) {
 	horizon, tFast := t.timeScales(d, table)
 	dt = math.Min(horizon/float64(cfg.StepsPerScale), tFast/30)
@@ -371,24 +364,26 @@ func (t *Tree) transientPlan(d Drive, cfg Config, table []SinkDelay) (dt, delay,
 	return dt, delay, horizon + delay
 }
 
-// runCrossings drives a transient to completion and reads every
-// probe's 50% crossing, retrying with an extended horizon (×2.5, up to
-// 4 attempts) when a sink has not crossed yet. sim runs one transient
-// to tEnd; effDelay is the effective step time subtracted from the raw
-// crossings; what names the engine for the exhaustion error.
-func runCrossings(sim func(tEnd float64) (*mna.Result, error), probes []int, level, effDelay, tEnd float64, what string) ([]float64, error) {
-	for attempt := 0; attempt < 4; attempt++ {
-		res, err := sim(tEnd)
-		if err != nil {
-			return nil, err
-		}
-		out, err := extractCrossings(res, probes, level, effDelay)
-		if err == nil {
-			return out, nil
-		}
-		tEnd *= 2.5
+// runCrossings runs one crossing-mode transient (opts carries the
+// planned grid, the probes and the crossing level; its TEnd is widened
+// to mna.CrossBudget) and returns every probe's crossing less effDelay, the
+// effective step time — the trapezoidal rule smears the ideal step
+// across one timestep. The run stops at the last crossing; what names
+// the engine in the typed error when the budget runs out first.
+func runCrossings(sim func(mna.Options) (*mna.Result, error), opts mna.Options, effDelay float64, what string) ([]float64, error) {
+	opts.TEnd = mna.CrossBudget(opts.TEnd)
+	res, err := sim(opts)
+	if errors.Is(err, mna.ErrNoCrossing) {
+		return nil, fmt.Errorf("rlctree: a %s never crossed %g: %w", what, opts.CrossLevel, err)
 	}
-	return nil, fmt.Errorf("rlctree: a %s never crossed %g within the extended horizon", what, level)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]float64, len(res.Crossings))
+	for k, c := range res.Crossings {
+		out[k] = c - effDelay
+	}
+	return out, nil
 }
 
 // delaysMNA measures every sink's 50% delay from one shared transient:
@@ -402,32 +397,20 @@ func delaysMNA(t *Tree, d Drive, cfg Config, table []SinkDelay) ([]float64, erro
 	if err != nil {
 		return nil, err
 	}
+	return runCrossings(func(o mna.Options) (*mna.Result, error) {
+		return mna.Simulate(ckt, o)
+	}, t.crossOptions(d, cfg, nodeOf, dt, tEnd), delay-dt/2, "sink")
+}
+
+// crossOptions is the crossing-mode run of a transient plan: every
+// sink probed (nodeOf maps tree nodes to circuit nodes) for the
+// drive's 50% level.
+func (t *Tree) crossOptions(d Drive, cfg Config, nodeOf []int, dt, tEnd float64) mna.Options {
 	probes := make([]int, len(t.sinks))
 	for k, node := range t.sinks {
 		probes[k] = nodeOf[node]
 	}
-	return runCrossings(func(tEnd float64) (*mna.Result, error) {
-		return mna.Simulate(ckt, mna.Options{Dt: dt, TEnd: tEnd, Probes: probes, Ctx: cfg.Ctx})
-	}, probes, d.Amplitude()/2, delay-dt/2, tEnd, "sink")
-}
-
-// extractCrossings reads each probe's 50% crossing from a shared
-// transient result, subtracting the effective step time (the
-// trapezoidal rule smears the ideal step across one timestep).
-func extractCrossings(res *mna.Result, probes []int, level, effDelay float64) ([]float64, error) {
-	out := make([]float64, len(probes))
-	for k, p := range probes {
-		w, err := res.Waveform(p)
-		if err != nil {
-			return nil, err
-		}
-		cross, err := w.CrossUp(level)
-		if err != nil {
-			return nil, err
-		}
-		out[k] = cross - effDelay
-	}
-	return out, nil
+	return mna.Options{Dt: dt, TEnd: tEnd, Probes: probes, Ctx: cfg.Ctx, CrossLevel: d.Amplitude() / 2}
 }
 
 // treeProbeFreqs picks the reduced model's probe/validation band from
@@ -500,10 +483,7 @@ func delaysReduced(t *Tree, d Drive, cfg Config, table []SinkDelay) ([]float64, 
 	if err != nil {
 		return nil, mor.Info{}, err
 	}
-	probes := make([]int, len(t.sinks))
-	for k, node := range t.sinks {
-		probes[k] = nodeOf[node]
-	}
+	opts := t.crossOptions(d, cfg, nodeOf, dt, tEnd)
 	ropt := mna.ReduceOptions{
 		Freqs:    treeProbeFreqs(horizon, tFast),
 		MaxOrder: cfg.MaxOrder,
@@ -517,13 +497,11 @@ func delaysReduced(t *Tree, d Drive, cfg Config, table []SinkDelay) ([]float64, 
 		}
 		ropt.OnBuild = func(p []byte) { cfg.Pencils.PutPencil(key, p) }
 	}
-	red, err := mna.Reduce(ckt, probes, ropt)
+	red, err := mna.Reduce(ckt, opts.Probes, ropt)
 	if err != nil {
 		return nil, mor.Info{}, err
 	}
-	out, err := runCrossings(func(tEnd float64) (*mna.Result, error) {
-		return red.Simulate(mna.Options{Dt: dt, TEnd: tEnd, Probes: probes, Ctx: cfg.Ctx})
-	}, probes, d.Amplitude()/2, delay-dt/2, tEnd, "reduced sink response")
+	out, err := runCrossings(red.Simulate, opts, delay-dt/2, "reduced sink response")
 	if err != nil {
 		return nil, mor.Info{}, err
 	}

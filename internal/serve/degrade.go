@@ -36,11 +36,14 @@ const (
 	costSweepSimulated = 1200 * time.Microsecond
 
 	// Tree engines cost per node: the shared MNA transient factors and
-	// sweeps a banded system sized by the node count, the reduced engine
-	// pays a per-tree Arnoldi build plus a small per-node transient, the
+	// steps a banded system sized by the node count up to its last 50%
+	// crossing (BenchmarkTreeDelay: 127 nodes, ~17 ms on a 2-vCPU
+	// x86-64 VM); the reduced engine pays a per-tree Arnoldi build
+	// (BenchmarkMORBuild: ~17 ms) plus a per-node transient — priced
+	// as MNA's, which it runs whenever certification fails — and the
 	// closed form is two moment traversals.
-	costTreeMNAPerNode     = 2 * time.Millisecond
-	costTreeReducedBuild   = 80 * time.Millisecond
+	costTreeMNAPerNode     = 300 * time.Microsecond
+	costTreeReducedBuild   = 35 * time.Millisecond
 	costTreeReducedPerNode = 300 * time.Microsecond
 	costTreeClosedPerNode  = 3 * time.Microsecond
 )

@@ -35,9 +35,10 @@ import (
 
 // storeVersion is the serving layer's store-format version, stamped
 // into the snapshot and journal headers. Bump it when the cacheKey
-// codec or the journal record shape changes incompatibly: stale files
-// are then dropped wholesale at open (a cold start), never misread.
-const storeVersion = 1
+// codec, the canonical tree encoding inside it, or the journal record
+// shape changes incompatibly: stale files are then dropped wholesale at
+// open (a cold start), never misread. Version 2: binary tree keys.
+const storeVersion = 2
 
 // Store namespaces.
 const (

@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"rlckit/internal/mna"
 )
 
 // This file tests the serving layer's robustness contract: request
@@ -22,12 +24,26 @@ import (
 const slowSweepBody = `{"node":"250nm","nets":10000,"seed":3,"rise_s":5e-11,"estimator":"simulated"}`
 
 // tree64Body renders a 64-sink (127-node) balanced binary tree — the
-// same family as rlctree's bench64 — whose shared MNA transient runs
-// ~150 ms, long enough to cancel mid-flight.
-func tree64Body(engine string) string {
+// same family as rlctree's bench64.
+func tree64Body(engine string) string { return binaryTreeBody(6, 40, 0, engine) }
+
+// stiffTreeBody renders a stiff 33-sink tree: a 32-leaf binary tree
+// driven through 0.1 Ω, plus a sink on the driven root. The root sink
+// crosses within picoseconds, which sets the shared timestep, while
+// the leaves take over ten thousand steps to cross: the stopped MNA
+// transient runs ~250 ms on a 2-vCPU x86-64 VM, each step cheap enough
+// that a cancellation checkpoint comes around within milliseconds even
+// under the race detector.
+func stiffTreeBody(engine string) string { return binaryTreeBody(5, 0.1, 1e-15, engine) }
+
+// binaryTreeBody renders a balanced binary tree with 2^levels leaf
+// sinks, its branches in heap order (node i hangs under node (i−1)/2)
+// with a mild per-branch asymmetry so the skew is nonzero, driven
+// through rtr; a positive rootLoad also marks the root a sink.
+func binaryTreeBody(levels int, rtr, rootLoad float64, engine string) string {
 	var b strings.Builder
 	b.WriteString(`{"tree":{"root_c":2e-15,"branches":[`)
-	for i := 0; i < 126; i++ {
+	for i := 0; i < 1<<(levels+1)-2; i++ {
 		if i > 0 {
 			b.WriteByte(',')
 		}
@@ -35,14 +51,17 @@ func tree64Body(engine string) string {
 		fmt.Fprintf(&b, `{"parent":%d,"r":%g,"l":%g,"c":%g}`, i/2, 18*scale, 0.2e-9*scale, 25e-15*scale)
 	}
 	b.WriteString(`],"sinks":[`)
-	// Nodes 63..126 are the 64 leaves.
-	for i := 0; i < 64; i++ {
+	// The last 2^levels nodes are the leaves.
+	for i := 0; i < 1<<levels; i++ {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, `{"node":%d,"cl":%g}`, 63+i, float64(4+i%8)*2e-15)
+		fmt.Fprintf(&b, `{"node":%d,"cl":%g}`, 1<<levels-1+i, float64(4+i%8)*2e-15)
 	}
-	fmt.Fprintf(&b, `]},"drive":{"rtr":40},"engine":%q}`, engine)
+	if rootLoad > 0 {
+		fmt.Fprintf(&b, `,{"node":0,"cl":%g}`, rootLoad)
+	}
+	fmt.Fprintf(&b, `]},"drive":{"rtr":%g},"engine":%q}`, rtr, engine)
 	return b.String()
 }
 
@@ -117,16 +136,18 @@ func TestSweepCancelMidFlightLatency(t *testing.T) {
 	t.Logf("10k-sample simulated sweep released %v after cancel", lat)
 }
 
+// TestTreeCancelMidFlightLatency cancels the stopped MNA transient of
+// the stiff tree after the 30 ms warm-up.
 func TestTreeCancelMidFlightLatency(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 2})
-	lat, rec := cancelLatency(t, s, "/v1/tree", tree64Body("mna"), 30*time.Millisecond)
+	lat, rec := cancelLatency(t, s, "/v1/tree", stiffTreeBody("mna"), 30*time.Millisecond)
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503: %s", rec.Code, rec.Body)
 	}
 	if lat > 50*time.Millisecond {
 		t.Errorf("tree transient released %v after cancel, want ≤ 50ms", lat)
 	}
-	t.Logf("64-sink MNA transient released %v after cancel", lat)
+	t.Logf("stiff-tree MNA transient released %v after cancel", lat)
 }
 
 // A real client disconnect (not a synthetic context) must cancel the
@@ -383,4 +404,16 @@ func TestNoGoroutineLeakAfterMixedLoad(t *testing.T) {
 	wg.Wait()
 	s.Close()
 	waitStableGoroutines(t, base)
+}
+
+// TestNoCrossingIs400: a transient whose step budget runs out before a
+// sink crosses 50% is a property of the submitted net, so it maps to a
+// 400 like any other invalid input — never a 500.
+func TestNoCrossingIs400(t *testing.T) {
+	s := newTestServer(t, Config{})
+	rec := httptest.NewRecorder()
+	s.failCompute(rec, fmt.Errorf("rlctree: a sink never crossed 0.5: %w", mna.ErrNoCrossing))
+	if rec.Code != http.StatusBadRequest {
+		t.Errorf("status %d, want 400: %s", rec.Code, rec.Body)
+	}
 }

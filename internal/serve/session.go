@@ -32,8 +32,11 @@ import (
 // compute context (client disconnect, request timeout, server close)
 // apply as everywhere else, and deadline-aware degradation picks the
 // result engine with the same degradeTree arithmetic as /v1/tree —
-// conservative for a session, since an edit re-analysis is far cheaper
-// than the cold analysis the estimates were calibrated on.
+// conservative for a session, since an edit re-analysis skips the
+// ordering work of the cold analysis the estimates were calibrated on.
+// A session answers engine "reduced" with its frozen exact engine
+// (mor_fallback:true), so that result carries cold MNA's delays bit
+// for bit.
 //
 // Idle sessions are evicted after Config.SessionTTL, and the registry
 // is bounded by Config.MaxSessions (opening past it evicts the
@@ -247,7 +250,7 @@ func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	sess, err := rlckit.OpenSession(t, drv, rlckit.TreeConfig{Pencils: s.pencils})
+	sess, err := rlckit.OpenSession(t, drv, rlckit.TreeConfig{})
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return

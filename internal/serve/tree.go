@@ -1,19 +1,18 @@
 package serve
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
-	"strconv"
-	"strings"
 
 	"rlckit"
 )
 
 // This file is the /v1/tree endpoint: per-sink delay and skew analysis
 // of a multi-sink RLC tree over the wire. Trees are variable-length,
-// so the canonical cache key carries an exact-bits string encoding of
+// so the canonical cache key carries an exact-bits binary encoding of
 // the request's physics (canonicalTree) rather than the raw JSON —
 // two bodies that differ only in formatting share a cache entry.
 
@@ -99,34 +98,31 @@ func isFinite(v float64) bool {
 	return !math.IsInf(v, 0) && !math.IsNaN(v)
 }
 
-// canonicalTree renders the exact physics of a validated tree request
-// as a compact string for the comparable cache key: every float is
-// encoded with exact hex bits, so two requests collide only when they
-// describe bit-identical trees.
+// canonicalTree encodes the exact physics of a validated tree request
+// as a compact binary string for the comparable cache key: every float
+// as its 8 IEEE bytes, the branch and sink counts as uvarints and the
+// node indices as signed varints. Every field has a fixed or
+// self-delimiting width, so the encoding is injective: two requests
+// collide only when they describe bit-identical trees (a −0 is not a
+// +0).
 func canonicalTree(req *TreeRequest) string {
-	var b strings.Builder
-	hx := func(v float64) {
-		b.WriteString(strconv.FormatFloat(v, 'x', -1, 64))
-	}
-	hx(req.Tree.RootC)
+	n := len(req.Tree.Branches)*(binary.MaxVarintLen64+24) + len(req.Tree.Sinks)*(binary.MaxVarintLen64+8)
+	b := make([]byte, 0, 8+2*binary.MaxVarintLen64+n)
+	f := func(v float64) { b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v)) }
+	f(req.Tree.RootC)
+	b = binary.AppendUvarint(b, uint64(len(req.Tree.Branches)))
 	for _, br := range req.Tree.Branches {
-		b.WriteByte(';')
-		b.WriteString(strconv.Itoa(br.Parent))
-		b.WriteByte(',')
-		hx(br.R)
-		b.WriteByte(',')
-		hx(br.L)
-		b.WriteByte(',')
-		hx(br.C)
+		b = binary.AppendVarint(b, int64(br.Parent))
+		f(br.R)
+		f(br.L)
+		f(br.C)
 	}
-	b.WriteByte('|')
+	b = binary.AppendUvarint(b, uint64(len(req.Tree.Sinks)))
 	for _, s := range req.Tree.Sinks {
-		b.WriteByte(';')
-		b.WriteString(strconv.Itoa(s.Node))
-		b.WriteByte(',')
-		hx(s.CL)
+		b = binary.AppendVarint(b, int64(s.Node))
+		f(s.CL)
 	}
-	return b.String()
+	return string(b)
 }
 
 // parseTreeRequest decodes and validates a /v1/tree body, building the

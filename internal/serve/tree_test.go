@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"math"
 	"testing"
 
 	"rlckit/internal/golden"
@@ -159,5 +160,46 @@ func TestTreeRequestErrors(t *testing.T) {
 				t.Fatalf("status %d, want 400: %s", rec.Code, rec.Body)
 			}
 		})
+	}
+}
+
+// TestCanonicalTreeKeyExactBits: the binary tree key separates trees
+// that differ in one float's last bit or in the sign of a zero, or in a
+// node index, and every variant survives the snapshot key codec.
+func TestCanonicalTreeKeyExactBits(t *testing.T) {
+	var base TreeRequest
+	if err := json.Unmarshal([]byte(treeBody), &base); err != nil {
+		t.Fatal(err)
+	}
+	variant := func(edit func(r *TreeRequest)) TreeRequest {
+		r := base
+		r.Tree.Branches = append([]TreeBranchSpec(nil), base.Tree.Branches...)
+		r.Tree.Sinks = append([]TreeSinkSpec(nil), base.Tree.Sinks...)
+		edit(&r)
+		return r
+	}
+	reqs := []TreeRequest{
+		base,
+		variant(func(r *TreeRequest) { r.Tree.Branches[2].L = math.Nextafter(r.Tree.Branches[2].L, 1) }),
+		variant(func(r *TreeRequest) { r.Tree.Sinks[1].CL = math.Nextafter(r.Tree.Sinks[1].CL, 0) }),
+		variant(func(r *TreeRequest) { r.Tree.RootC = 0 }),
+		variant(func(r *TreeRequest) { r.Tree.RootC = math.Copysign(0, -1) }),
+		variant(func(r *TreeRequest) { r.Tree.Branches[3].Parent = 2 }),
+		variant(func(r *TreeRequest) { r.Tree.Sinks = r.Tree.Sinks[:1] }),
+	}
+	seen := map[string]int{}
+	for i := range reqs {
+		key := canonicalTree(&reqs[i])
+		if j, dup := seen[key]; dup {
+			t.Errorf("requests %d and %d share a tree key", j, i)
+		}
+		seen[key] = i
+		if again := canonicalTree(&reqs[i]); again != key {
+			t.Errorf("request %d: key not deterministic", i)
+		}
+		ck := cacheKey{kind: kindTree, tree: key}
+		if got, ok := decodeCacheKey(encodeCacheKey(&ck)); !ok || got != ck {
+			t.Errorf("request %d: tree key did not survive the snapshot codec", i)
+		}
 	}
 }

@@ -1,22 +1,20 @@
 // Package session is the stateful what-if layer over the tree
 // engines: open a driven tree once, stream value edits, and read
-// updated per-sink delays after each for far less than a from-scratch
-// analysis. It wraps rlctree.Incremental — which owns the three fast
-// paths (memoized closed form, frozen-ordering exact MNA, frozen-basis
-// reduced model with a certified envelope) — with the concerns the
-// callers above it share: serialized access, atomic edit batches, a
-// per-engine result cache for repeated reads of an unchanged state,
-// and a closed flag for lifecycle owners (the HTTP layer's TTL
-// eviction).
+// updated per-sink delays after each for less than a from-scratch
+// analysis. It wraps rlctree.Incremental — which owns the incremental
+// paths (the closed form in a reused moment workspace, exact MNA on a
+// frozen ordering) — with the concerns the callers above it share:
+// serialized access, atomic edit batches, a per-engine result cache for
+// repeated reads of an unchanged state, and a closed flag for
+// lifecycle owners (the HTTP layer's TTL eviction).
 //
 // Determinism: a session is driven by its edit sequence alone. The
 // same Open + the same edits yield byte-identical Result values at any
-// GOMAXPROCS setting and any server worker count, and the closed and
-// MNA engines are bit-identical to a cold rlctree.Analyze of the
-// edited tree — the property the HTTP and conformance layers assert.
-// The reduced engine answers through the basis frozen at open time
-// (certified-tolerance contract, not bit-identity with a cold reduced
-// build; its exact fallback IS bit-identical to cold MNA).
+// GOMAXPROCS setting and any server worker count, and every read is
+// bit-identical to a cold rlctree.Analyze of the edited tree: closed
+// and MNA reads to the same engine, and reduced reads — which the
+// frozen exact engine answers, with Result.Fallback set — to cold MNA.
+// The HTTP and conformance layers assert it.
 package session
 
 import (
@@ -181,7 +179,7 @@ func (s *Session) History() [][]Edit {
 }
 
 // Result reads the per-sink delay table of the current state with the
-// given engine, reusing the incremental fast paths — and, for a repeat
+// given engine, reusing the incremental paths — and, for a repeat
 // read of an unchanged state, the cached result. The returned Result
 // is shared and must be treated as read-only.
 func (s *Session) Result(ctx context.Context, engine rlctree.Engine) (*rlctree.Result, error) {
