@@ -13,6 +13,9 @@ run_bench() {
 }
 
 run_bench 'BenchmarkMNADelay$' .
+# The tree LU kernel (absent on commits predating it; benchgate then
+# treats it as new).
+run_bench 'BenchmarkTreeLUSolve$' .
 run_bench 'BenchmarkSweep10k$' ./internal/sweep
 if [ -d internal/serve ]; then
   run_bench 'BenchmarkServe(DelayHot|DelayCold|Sweep)$' ./internal/serve

@@ -14,7 +14,7 @@ import (
 	"rlckit/internal/tline"
 )
 
-// --- One benchmark per paper artifact (experiment ids per DESIGN.md) ---
+// --- One benchmark per paper artifact (experiment ids per internal/paper) ---
 
 // BenchmarkTable1 regenerates E1: the full 36-cell Eq. 9 vs simulation
 // grid. Reported metrics: worst and mean model error in percent.
@@ -134,7 +134,7 @@ func BenchmarkScalingTrend(b *testing.B) {
 	}
 }
 
-// --- Ablation benches (DESIGN.md §7) ---
+// --- Ablation benches ---
 
 // benchLine is the moderate Table-1 configuration used by ablations.
 var benchLine = tline.FromTotals(1000, 1e-7, 1e-12, 0.01)
@@ -272,22 +272,66 @@ func BenchmarkPolyRootsLadder(b *testing.B) {
 	}
 }
 
-func BenchmarkBandLUSolve(b *testing.B) {
-	n := 1000
-	rng := rand.New(rand.NewSource(3))
-	bm := numeric.NewBandMatrix(n, 2, 2)
-	for i := 0; i < n; i++ {
-		for j := i - 2; j <= i+2; j++ {
-			if bm.InBand(i, j) {
-				bm.Set(i, j, rng.NormFloat64())
-			}
-		}
-		bm.Add(i, i, 10)
+// benchTreeSystem stamps, as triplets, the trapezoidal step matrix
+// A = C/h + G/2 of a 64-sink RLC tree in MNA form — a 6-level binary
+// tree driven through 40 Ω, each branch 18 Ω then 0.2 nH into a 25 fF
+// node, 10 fF more on each leaf — and draws a right-hand side. It is
+// the system BenchmarkBandLUSolve and BenchmarkTreeLUSolve both factor
+// and solve: 381 unknowns, the shape of BenchmarkTreeDelay's tree.
+func benchTreeSystem() (*numeric.Triplets, []float64) {
+	const levels, h = 6, 1e-13
+	branches := 1<<(levels+1) - 2
+	nv := 2 + 2*branches // the source and root nodes, a mid and an end node per branch
+	a := numeric.NewTriplets(nv + 1 + branches)
+	g := func(i, j int, v float64) { a.Add(i, j, v/2) }
+	resistor := func(p, q int, r float64) {
+		g(p, p, 1/r)
+		g(q, q, 1/r)
+		g(p, q, -1/r)
+		g(q, p, -1/r)
 	}
-	rhs := make([]float64, n)
+	// Node 0 is the source, node 1 the root; branch i ends at node 2i+1
+	// through mid node 2i, and row nv+i carries its inductor current.
+	g(0, nv, 1)
+	g(nv, 0, 1)
+	resistor(0, 1, 40)
+	a.Add(1, 1, 2e-15/h)
+	end := func(i int) int { return 2*i + 1 }
+	for i := 1; i <= branches; i++ {
+		mid, node, j := 2*i, end(i), nv+i
+		resistor(end((i-1)/2), mid, 18)
+		g(mid, j, 1)
+		g(node, j, -1)
+		g(j, mid, 1)
+		g(j, node, -1)
+		a.Add(j, j, -0.2e-9/h)
+		c := 25e-15
+		if i >= branches/2 {
+			c += 10e-15
+		}
+		a.Add(node, node, c/h)
+	}
+	rng := rand.New(rand.NewSource(3))
+	rhs := make([]float64, a.N)
 	for i := range rhs {
 		rhs[i] = rng.NormFloat64()
 	}
+	return a, rhs
+}
+
+// BenchmarkBandLUSolve factors and solves benchTreeSystem with band LU
+// (partial pivoting) in RCM order, as the MNA transient does for
+// systems with a cycle.
+func BenchmarkBandLUSolve(b *testing.B) {
+	a, rhs := benchTreeSystem()
+	perm := make([]int, a.N)
+	for newIdx, orig := range numeric.RCM(numeric.Adjacency(a.N, a)) {
+		perm[orig] = newIdx
+	}
+	kl, ku := numeric.PermutedBandwidth(perm, a)
+	bm := numeric.NewBandMatrix(a.N, kl, ku)
+	a.AddScaledToBand(bm, perm, 1)
+	x := make([]float64, a.N)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -295,7 +339,26 @@ func BenchmarkBandLUSolve(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		_ = f.Solve(rhs)
+		f.SolveTo(x, rhs)
+	}
+}
+
+// BenchmarkTreeLUSolve factors and solves benchTreeSystem with the
+// no-fill tree LU in its leaves-first order, as the MNA transient does
+// for trees.
+func BenchmarkTreeLUSolve(b *testing.B) {
+	a, rhs := benchTreeSystem()
+	tm := numeric.NewTreeMatrix(numeric.ForestOrder(a.N, a))
+	a.AddScaledToTree(tm, 1)
+	x := make([]float64, a.N)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f, err := numeric.FactorTreeLU(tm)
+		if err != nil {
+			b.Fatal(err)
+		}
+		f.SolveTo(x, rhs)
 	}
 }
 

@@ -1,5 +1,5 @@
 // Command paperfigs regenerates every table and figure of the paper's
-// evaluation (see DESIGN.md's experiment index E1-E9).
+// evaluation (experiment index E1-E9 in internal/paper's package doc).
 //
 // Usage:
 //

@@ -124,6 +124,14 @@
 // engine, reduced reads to MNA — and a session is driven by its edit
 // sequence alone.
 //
+// Across versions, a change that moves result bits bumps the serving
+// store's version (internal/serve's storeVersion), so a warm start
+// drops the old snapshot instead of serving its bits, and lists every
+// golden it moved. Version 3 moved tree MNA transients from band LU to
+// the no-fill tree LU, which rounds differently: of the goldens, only
+// internal/serve/testdata/tree_mna.json moved, by 1.2e-14 to 1.1e-13
+// relative (its delays by at most 7.1e-14).
+//
 // Executables: cmd/rlcdelay, cmd/repeaterplan, cmd/netsim,
 // cmd/paperfigs, cmd/netsweep (the sweep engine's CLI: population
 // summary tables plus per-sample CSV), cmd/treeskew (per-sink tree
@@ -136,6 +144,7 @@
 // examples/servedemo.
 //
 // The benchmark suite in bench_test.go regenerates each paper artifact;
-// see DESIGN.md for the experiment index and EXPERIMENTS.md for measured
-// results against the paper's printed values.
+// internal/paper's package doc holds the experiment index, and
+// cmd/paperfigs prints the measured results beside the paper's printed
+// values.
 package rlckit

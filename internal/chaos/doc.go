@@ -7,8 +7,9 @@
 // drives mixed traffic (delay, repeaters, sweep, tree) through a real
 // HTTP server via the retrying client (internal/client) while seeded
 // failpoints (internal/faultinject) fire panics in single-net computes,
-// corrupt cache entries, fail band-LU factorizations and stall pool
-// workers, and a fraction of requests are canceled mid-flight.
+// corrupt cache entries, fail band- and tree-LU factorizations and
+// stall pool workers, and a fraction of requests are canceled
+// mid-flight.
 //
 // The invariants under test:
 //

@@ -174,7 +174,7 @@ func (p Params) Classify() DampingClass {
 // minimizes error for RT, CT in [0, 1] — "most important for global
 // interconnect ... in current deep submicrometer technologies".
 //
-// Measured caveat (see EXPERIMENTS.md): even inside this domain, lines
+// Measured caveat: even inside this domain, lines
 // with RT ≈ 1, CT ≪ 1 and ζ slightly below 1 can show 20-25% error.
 // There the step response plateaus near V/2 between wave reflections,
 // so the 50% crossing is ill-conditioned and no smooth ζ-only formula

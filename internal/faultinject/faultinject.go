@@ -3,8 +3,8 @@
 //
 // Production builds pay nothing: without the `faultinject` build tag,
 // Active is the constant false and every hook is an empty inlinable
-// no-op, so the tagged call sites (band-LU factorization, pool
-// workers, the serve compute and response cache) compile to dead
+// no-op, so the tagged call sites (band- and tree-LU factorization,
+// pool workers, the serve compute and response cache) compile to dead
 // code. Test builds enable the hooks with
 //
 //	go test -tags faultinject ...
@@ -26,7 +26,8 @@ import "errors"
 // Failpoint sites tagged in the codebase.
 const (
 	// SiteFactor simulates a numeric factorization failure inside
-	// numeric.FactorBandLU (surfaces as a retryable engine error).
+	// numeric.FactorBandLU and numeric.FactorTreeLU (surfaces as a
+	// retryable engine error).
 	SiteFactor = "numeric.factor"
 	// SitePoolWorker delays a pool worker between claimed indices.
 	SitePoolWorker = "pool.worker"

@@ -6,14 +6,15 @@ import (
 	"rlckit/internal/circuit"
 )
 
-// Frozen is an assembled system whose RCM ordering is pinned: Restamp
-// re-stamps new element values (and sources) of a same-topology circuit
-// into the frozen ordering — O(nnz) with no RCM and no bandwidth
-// recomputation — and Simulate runs the ordinary transient on it.
+// Frozen is an assembled system whose step ordering (the tree LU's
+// forest order, or RCM) is pinned: Restamp re-stamps new element values
+// (and sources) of a same-topology circuit into the frozen ordering —
+// O(nnz) with no ordering recomputation — and Simulate runs the
+// ordinary transient on it.
 //
 // This is the exact engine's incremental what-if path: the ordering is
-// purely structural (RCM reads only the sparsity pattern), so for a
-// value-only edit the frozen ordering is the one a cold assemble would
+// purely structural (it reads only the sparsity pattern), so for a
+// value-only edit the frozen ordering is the one a cold Simulate would
 // recompute, and Frozen.Simulate is bit-identical to mna.Simulate on
 // the edited circuit. A structural edit (an element appearing or
 // vanishing) changes the pattern; Restamp rejects it and the caller
@@ -25,10 +26,11 @@ type Frozen struct {
 
 // Freeze assembles the circuit and pins its ordering.
 func Freeze(ckt *circuit.Circuit) (*Frozen, error) {
-	sys, err := assemble(ckt)
+	sys, err := assembleCore(ckt)
 	if err != nil {
 		return nil, err
 	}
+	sys.computeStepOrdering()
 	return &Frozen{sys: sys, nNodes: ckt.Nodes()}, nil
 }
 
@@ -48,7 +50,7 @@ func (f *Frozen) Restamp(ckt *circuit.Circuit) error {
 		return fmt.Errorf("mna: Restamp topology mismatch (%d vs %d unknowns, %d/%d vs %d/%d entries)",
 			sys.n, f.sys.n, sys.gt.NNZ(), sys.ct.NNZ(), f.sys.gt.NNZ(), f.sys.ct.NNZ())
 	}
-	sys.perm, sys.inv, sys.kl, sys.ku = f.sys.perm, f.sys.inv, f.sys.kl, f.sys.ku
+	sys.forest, sys.perm, sys.inv, sys.kl, sys.ku = f.sys.forest, f.sys.perm, f.sys.inv, f.sys.kl, f.sys.ku
 	f.sys = sys
 	return nil
 }

@@ -12,18 +12,31 @@
 // SPICE choice) or backward Euler (first order, strongly damping — useful
 // as a cross-check and for taming startup transients).
 //
-// Unknowns are reordered with reverse Cuthill–McKee so that ladder-style
-// interconnect circuits factor as narrow band matrices; a 1000-segment
-// RLC line steps in O(n) per timestep rather than O(n²).
+// The transient picks its linear solver from the structure of C + G.
+// When that structure is a forest with a branching vertex — every RLC
+// tree: node voltages, R–L mid nodes and branch currents — the step
+// matrix is factored by numeric's no-fill tree LU, eliminating leaves
+// towards a root at the source's branch-current row, and each timestep
+// costs two O(n) sweeps. Any other system (a path, which is every
+// ladder and is already tridiagonal; anything with a cycle, such as
+// mutual inductance or coupled lines) is reordered with reverse
+// Cuthill–McKee and factored as a narrow band matrix with partial
+// pivoting, so a 1000-segment RLC line steps in O(n) per timestep
+// rather than O(n²). A tree whose static pivot is too small for the
+// tree LU (a capless inductive leaf) falls back to the band solver.
+// AC analysis and model-order reduction always use the band solver.
 //
 // Complexity contract: the whole pipeline is linear in circuit size.
-// Assembly stamps the circuit into sparse triplets, the RCM ordering
-// runs on adjacency lists, and the band matrices are stamped directly
-// from the triplets — O(nnz) time and O(n·band) memory, with no n×n
-// intermediate ever materialized. The transient step loop reuses all
-// scratch (numeric.MulVecTo / BandLU.SolveInPlace) and performs zero
-// heap allocations per timestep, and AC sweeps solve frequency points
-// in parallel across a bounded worker pool.
+// Assembly stamps the circuit into sparse triplets; the forest check
+// and its elimination order, the RCM ordering and the band and tree
+// matrices are all derived from the triplets in O(nnz) time, with
+// O(n) memory on the tree path and O(n·band) on the band path, and no
+// n×n intermediate is ever materialized. RCM and band stamping run
+// only when a band factor is needed: a tree transient whose sources
+// are all zero at t = 0 (every delay engine's) factors nothing but its
+// step matrix. The transient step loop reuses all scratch and performs
+// zero heap allocations per timestep, and AC sweeps solve frequency
+// points in parallel across a bounded worker pool.
 //
 // Crossing mode: a delay only needs each probe's first upward crossing
 // of a level (the paper's 50% point), not its waveform. With
@@ -154,9 +167,12 @@ type system struct {
 	// the reduced-order class projection groups by.
 	ge, ce  []int
 	sources []srcEntry // contributions to b(t)
-	perm    []int      // perm[orig] = new index, after RCM
-	inv     []int      // inv[new] = orig
-	kl, ku  int
+	// forest is the tree LU's elimination order when the structure is a
+	// branching forest (computeStepOrdering), else nil.
+	forest *numeric.Forest
+	perm   []int // perm[orig] = new index, after RCM (nil until computeOrdering)
+	inv    []int // inv[new] = orig
+	kl, ku int
 }
 
 type srcEntry struct {
@@ -293,6 +309,22 @@ func stamp2(m *numeric.Triplets, ia, ib int, v float64, a, b int) {
 	}
 }
 
+// computeStepOrdering picks the ordering a transient steps in: the
+// tree LU's leaves-first order when the structure of |G|+|C| is a
+// forest with a vertex of degree ≥ 3, else RCM. A path (every ladder)
+// keeps RCM, which makes it tridiagonal for the band solver's fast
+// path, and pays only the branching check; a cycle has fill, which
+// only the band solver handles.
+func (s *system) computeStepOrdering() {
+	if numeric.Branching(s.n, s.gt, s.ct) {
+		if f := numeric.ForestOrder(s.n, s.gt, s.ct); f != nil {
+			s.forest = f
+			return
+		}
+	}
+	s.computeOrdering()
+}
+
 // computeOrdering runs reverse Cuthill–McKee on the structure of |G|+|C|
 // to minimize bandwidth, then records the band widths. The adjacency
 // lists, the ordering, and the band widths are all derived from the
@@ -339,29 +371,100 @@ func (s *system) permuted() (gb, cb *numeric.BandMatrix) {
 	return gb, cb
 }
 
-// bvec fills b(t) in permuted ordering.
-func (s *system) bvec(t float64, dst []float64) {
-	for i := range dst {
-		dst[i] = 0
+// stepMatrix is a factored transient left matrix and the ordering its
+// solver works in (perm[orig] = index, inv[index] = orig).
+type stepMatrix struct {
+	perm, inv []int
+	a         interface{ MulVecTo(dst, x []float64) }
+	lu        interface{ SolveTo(dst, b []float64) }
+}
+
+// factorStep stamps the transient left matrix A = C/h + G/2 (C/h + G
+// under backward Euler) from the triplets in O(nnz) and factors it: on
+// a forest with the no-fill tree LU, else — or when a static pivot is
+// too small for it (numeric.ErrSingular) — with band LU in RCM order.
+func (s *system) factorStep(h float64, be bool) (*stepMatrix, error) {
+	gScale := 0.5
+	if be {
+		gScale = 1
 	}
+	if s.forest != nil {
+		a := numeric.NewTreeMatrix(s.forest)
+		s.ct.AddScaledToTree(a, 1/h)
+		s.gt.AddScaledToTree(a, gScale)
+		lu, err := numeric.FactorTreeLU(a)
+		if err == nil {
+			return &stepMatrix{perm: s.forest.Perm, inv: s.forest.Inv, a: a, lu: lu}, nil
+		}
+		if !errors.Is(err, numeric.ErrSingular) {
+			return nil, fmt.Errorf("mna: transient matrix is singular (dt=%g): %w", h, err)
+		}
+	}
+	if s.perm == nil {
+		s.computeOrdering()
+	}
+	a := numeric.NewBandMatrix(s.n, s.kl, s.ku)
+	s.ct.AddScaledToBand(a, s.perm, 1/h)
+	s.gt.AddScaledToBand(a, s.perm, gScale)
+	lu, err := numeric.FactorBandLU(a)
+	if err != nil {
+		return nil, fmt.Errorf("mna: transient matrix is singular (dt=%g): %w", h, err)
+	}
+	return &stepMatrix{perm: s.perm, inv: s.inv, a: a, lu: lu}, nil
+}
+
+// dcPoint writes the t = 0 operating point into x, in the ordering
+// perm, and reports whether it solved for one. When b(0) is identically
+// zero — every delay engine's case, since each delays its source step —
+// x = 0 is exact whether or not G is singular, and nothing is factored.
+// Otherwise it solves G·x = b(0) with band LU in RCM order, leaving the
+// circuit at rest when G is singular; any other factorization error
+// (an injected fault) fails the run.
+func (s *system) dcPoint(x []float64, perm []int) (bool, error) {
+	zero := true
 	for _, e := range s.sources {
-		dst[s.perm[e.row]] += e.sgn * e.src.V(t)
+		zero = zero && e.src.V(0) == 0
 	}
+	if zero {
+		return false, nil
+	}
+	if s.perm == nil {
+		s.computeOrdering()
+	}
+	b := make([]float64, s.n)
+	for _, e := range s.sources {
+		b[s.perm[e.row]] += e.sgn * e.src.V(0)
+	}
+	gb := numeric.NewBandMatrix(s.n, s.kl, s.ku)
+	s.gt.AddScaledToBand(gb, s.perm, 1)
+	lu, err := numeric.FactorBandLU(gb)
+	if errors.Is(err, numeric.ErrSingular) {
+		return false, nil
+	}
+	if err != nil {
+		return false, fmt.Errorf("mna: operating point: %w", err)
+	}
+	lu.SolveInPlace(b)
+	for orig, i := range s.perm {
+		x[perm[orig]] = b[i]
+	}
+	return true, nil
 }
 
 // Simulate runs a fixed-step transient analysis.
 func Simulate(ckt *circuit.Circuit, opts Options) (*Result, error) {
-	sys, err := assemble(ckt)
+	sys, err := assembleCore(ckt)
 	if err != nil {
 		return nil, err
 	}
+	sys.computeStepOrdering()
 	return simulateSys(sys, ckt.Nodes(), opts)
 }
 
 // simulateSys is Simulate on an already-assembled system: the shared
-// core of the cold path (assemble = stamp + RCM) and the frozen path
+// core of the cold path (stamp + step ordering) and the frozen path
 // (Frozen.Restamp = stamp only, borrowing a previous ordering). Both
-// run the identical step loop on the identical permutation, so for the
+// run the identical step loop on the identical ordering, so for the
 // same circuit values they produce bit-identical results.
 func simulateSys(sys *system, nNodes int, opts Options) (*Result, error) {
 	if opts.Dt <= 0 {
@@ -380,8 +483,7 @@ func simulateSys(sys *system, nNodes int, opts Options) (*Result, error) {
 	n := sys.n
 	be := opts.Method == BackwardEuler
 
-	// Left matrix A per method, stamped directly from the sparse triplets
-	// in O(nnz):
+	// Left matrix A per method:
 	//   trapezoidal: A = C/h + G/2,  rhs = (C/h − G/2)x + (b_n + b_{n+1})/2
 	//   BE:          A = C/h + G,    rhs = (C/h)x + b_{n+1}
 	// The right matrix (C/h − G/2 resp. C/h) is never materialized: with
@@ -389,17 +491,11 @@ func simulateSys(sys *system, nNodes int, opts Options) (*Result, error) {
 	// C alone — mostly diagonal in MNA, with off-diagonal entries only
 	// from floating capacitors and mutual inductances — and the previous
 	// step's right-hand side (= A·x).
-	A := numeric.NewBandMatrix(n, sys.kl, sys.ku)
-	sys.ct.AddScaledToBand(A, sys.perm, 1/h)
-	if be {
-		sys.gt.AddScaledToBand(A, sys.perm, 1)
-	} else {
-		sys.gt.AddScaledToBand(A, sys.perm, 0.5)
-	}
-	lu, err := numeric.FactorBandLU(A)
+	st, err := sys.factorStep(h, be)
 	if err != nil {
-		return nil, fmt.Errorf("mna: transient matrix is singular (dt=%g): %w", h, err)
+		return nil, err
 	}
+	perm := st.perm
 	// Permuted C split into its diagonal and off-diagonal entries, scaled
 	// by 2/h (trapezoidal) or 1/h (BE).
 	cScale := 2 / h
@@ -413,7 +509,7 @@ func simulateSys(sys *system, nNodes int, opts Options) (*Result, error) {
 	}
 	var coff []cOff
 	for k, i := range sys.ct.I {
-		pi, pj := sys.perm[i], sys.perm[sys.ct.J[k]]
+		pi, pj := perm[i], perm[sys.ct.J[k]]
 		v := sys.ct.V[k] * cScale
 		if pi == pj {
 			cdiag[pi] += v
@@ -422,15 +518,16 @@ func simulateSys(sys *system, nNodes int, opts Options) (*Result, error) {
 		}
 	}
 
-	// Initial condition: DC operating point at t=0 when G is nonsingular;
-	// otherwise start from rest.
+	// Initial state, and the trapezoidal rule's first rhs_prev = A·x(0).
 	x := make([]float64, n)
-	b0 := make([]float64, n)
-	sys.bvec(0, b0)
-	gb := numeric.NewBandMatrix(n, sys.kl, sys.ku)
-	sys.gt.AddScaledToBand(gb, sys.perm, 1)
-	if guLU, err := numeric.FactorBandLU(gb); err == nil {
-		guLU.SolveTo(x, b0)
+	rhs := make([]float64, n)
+	rhsPrev := make([]float64, n)
+	dc, err := sys.dcPoint(x, perm)
+	if err != nil {
+		return nil, err
+	}
+	if dc && !be {
+		st.a.MulVecTo(rhsPrev, x)
 	}
 
 	// Probe state is resolved up front (permuted index → sample slot) so
@@ -439,7 +536,7 @@ func simulateSys(sys *system, nNodes int, opts Options) (*Result, error) {
 	rec := newRecorder(opts, steps)
 	probeAt := make([]int, len(opts.Probes))
 	for k, p := range opts.Probes {
-		probeAt[k] = sys.perm[p-1]
+		probeAt[k] = perm[p-1]
 	}
 	record := func(t float64) {
 		for k, pi := range probeAt {
@@ -456,16 +553,11 @@ func simulateSys(sys *system, nNodes int, opts Options) (*Result, error) {
 	// is rebuilt as 2(C/h)·x − rhs_prev + b̄, where rhs_prev (= A·x up to
 	// the solve's residual) is the vector the previous step solved with;
 	// for BE it is simply (C/h)·x + b.
-	rhs := make([]float64, n)
-	rhsPrev := make([]float64, n)
 	srcRow := make([]int, len(sys.sources))
 	vPrev := make([]float64, len(sys.sources))
 	for k, e := range sys.sources {
-		srcRow[k] = sys.perm[e.row]
+		srcRow[k] = perm[e.row]
 		vPrev[k] = e.src.V(0)
-	}
-	if !be {
-		A.MulVecTo(rhsPrev, x)
 	}
 	t := 0.0
 	for s := 0; s < steps && !rec.crossed(); s++ {
@@ -498,7 +590,7 @@ func simulateSys(sys *system, nNodes int, opts Options) (*Result, error) {
 				vPrev[k] = v1
 			}
 		}
-		lu.SolveTo(x, rhs)
+		st.lu.SolveTo(x, rhs)
 		rhs, rhsPrev = rhsPrev, rhs
 		t = t1
 		record(t)
@@ -510,7 +602,7 @@ func simulateSys(sys *system, nNodes int, opts Options) (*Result, error) {
 
 	// Final state in original ordering.
 	res.Final = make([]float64, n)
-	for newIdx, orig := range sys.inv {
+	for newIdx, orig := range st.inv {
 		res.Final[orig] = x[newIdx]
 	}
 	return res, nil

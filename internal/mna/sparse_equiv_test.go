@@ -270,24 +270,32 @@ func TestACParallelMatchesSerialAndPreservesOrder(t *testing.T) {
 }
 
 func TestSimulateStepLoopAllocationFree(t *testing.T) {
-	ckt, out := buildTestLadder(40)
+	ladder, out := buildTestLadder(40)
+	tree := circuit.New()
+	sinks := addTree(tree, "", 1e-12)
 	dt := 1e-13
-	measure := func(steps int) float64 {
-		return testing.AllocsPerRun(5, func() {
-			if _, err := Simulate(ckt, Options{
-				Dt:     dt,
-				TEnd:   float64(steps) * dt,
-				Probes: []int{out},
-			}); err != nil {
-				panic(err)
-			}
-		})
-	}
-	a300 := measure(300)
-	a600 := measure(600)
-	// Equal totals at different step counts means the steady-state loop
-	// allocates nothing per timestep (all allocations are per-call setup).
-	if a600 > a300 {
-		t.Errorf("step loop allocates: %.1f allocs for 300 steps vs %.1f for 600", a300, a600)
+	for _, c := range []struct {
+		ckt    *circuit.Circuit
+		probes []int
+	}{{ladder, []int{out}}, {tree, sinks}} {
+		measure := func(steps int) float64 {
+			return testing.AllocsPerRun(5, func() {
+				if _, err := Simulate(c.ckt, Options{
+					Dt:     dt,
+					TEnd:   float64(steps) * dt,
+					Probes: c.probes,
+				}); err != nil {
+					panic(err)
+				}
+			})
+		}
+		a300 := measure(300)
+		a600 := measure(600)
+		// Equal totals at different step counts means the steady-state
+		// loop — band or tree solve — allocates nothing per timestep
+		// (all allocations are per-call setup).
+		if a600 > a300 {
+			t.Errorf("%d probes: step loop allocates: %.1f allocs for 300 steps vs %.1f for 600", len(c.probes), a300, a600)
+		}
 	}
 }

@@ -1,17 +1,24 @@
 // Package numeric is rlckit's from-scratch numerical substrate: dense,
-// banded, and sparse-triplet linear algebra, scalar root finding,
-// polynomial arithmetic and root finding, 1-D and simplex minimization,
-// quadrature, interpolation, least-squares fitting, and ODE integration.
+// banded, tree-structured and sparse-triplet linear algebra, scalar
+// root finding, polynomial arithmetic and root finding, 1-D and simplex
+// minimization, quadrature, interpolation, least-squares fitting, and
+// ODE integration.
 //
 // Everything is written against the Go standard library only. The hot
 // paths — band LU factorization and solves, band matrix–vector products,
-// and sparse assembly (sparse.go) — are engineered for asymptotic and
-// constant-factor performance: band storage is row-major so inner loops
-// stream contiguous memory, every kernel has an in-place variant
-// (MulVecTo, FactorBandLUInto, SolveInPlace, SolveTo, and complex twins
-// in cband.go) that performs zero heap allocations when scratch is
-// reused, and assembly, reordering (RCM), and bandwidth computation all
-// run in O(nnz). The remaining routines favor robustness on the
+// the no-fill tree LU (tree.go), and sparse assembly (sparse.go) — are
+// engineered for asymptotic and constant-factor performance: band
+// storage is row-major so inner loops stream contiguous memory, every
+// kernel has an in-place variant (MulVecTo, FactorBandLUInto,
+// SolveInPlace, SolveTo, and complex twins in cband.go) that performs
+// zero heap allocations when scratch is reused, and assembly,
+// reordering (RCM, and ForestOrder's leaves-first order), and bandwidth
+// computation all run in O(nnz). A matrix whose off-diagonal structure
+// is a forest factors with static pivots and no fill in O(n), and each
+// solve is one leaf-to-root and one root-to-leaf sweep; its kernels
+// write every multiply-add as math.FMA or with an explicit float64()
+// rounding, so their bits do not depend on whether the target
+// architecture fuses x*y+z. The remaining routines favor robustness on the
 // moderately sized, well-conditioned problems that arise in interconnect
 // analysis (polynomials up to degree ~100, small dense systems).
 package numeric

@@ -1,10 +1,10 @@
 // Package paper regenerates every table and figure of the paper's
 // evaluation from rlckit's own engines. It is the single source of truth
 // used by cmd/paperfigs, the root benchmark suite, and the integration
-// tests; EXPERIMENTS.md records its output against the paper's printed
-// values.
+// tests; cmd/paperfigs prints its output beside the paper's printed
+// values, and this package's tests pin the measured behaviour.
 //
-// Experiment index (ids match DESIGN.md):
+// Experiment index (the ids cmd/paperfigs and bench_test.go use):
 //
 //	E1  Table 1    — Eq. 9 vs dynamic simulation over the 36-cell grid
 //	E2  Figure 2   — scaled delay t′pd vs ζ for (RT, CT) ∈ {0, 1, 5}

@@ -50,8 +50,8 @@ var paperTable1 = [3][4][3][2]float64{
 // table1Impedances returns the decoded (Rt, Rtr) for a row group. The
 // caption says Rtr = 500 Ω throughout, but only the RT = 0.5 and 1.0
 // groups' printed Eq. 9 values are consistent with that; the RT = 0.1
-// group matches Rt = 1 kΩ with Rtr = 100 Ω (see EXPERIMENTS.md). We use
-// the decode that reproduces the printed numbers.
+// group matches Rt = 1 kΩ with Rtr = 100 Ω (`paperfigs -table1` prints
+// both columns). We use the decode that reproduces the printed numbers.
 func table1Impedances(rtGroup float64) (rt, rtr float64) {
 	switch rtGroup {
 	case 0.1:

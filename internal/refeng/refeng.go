@@ -49,7 +49,8 @@ func horizon(ln tline.Line, d tline.Drive) float64 {
 type MNAConfig struct {
 	// Segments is the ladder segment count (default 120).
 	Segments int
-	// Style is the segment style (default Pi, which converges fastest).
+	// Style is the segment style. The zero value is tline.Gamma, which
+	// withDefaults keeps; tline.Pi converges fastest in segment count.
 	Style tline.SegmentStyle
 	// StepsPerScale divides the slow time scale into steps (default 4000).
 	StepsPerScale int
@@ -119,7 +120,8 @@ type RatfunConfig struct {
 	// limits it to ~24 — beyond that the ladder's tightly clustered real
 	// poles defeat the Aberth iteration).
 	Segments int
-	// Style is the segment style (default Pi).
+	// Style is the segment style. The zero value is tline.Gamma, which
+	// withDefaults keeps.
 	Style tline.SegmentStyle
 	// NoRichardson disables the half-resolution Richardson step that
 	// cancels the ladder's leading O(1/n) delay-discretization error
@@ -220,7 +222,7 @@ func DelayExactTF(ln tline.Line, d tline.Drive, m int) (float64, error) {
 
 // Agreement reports the three engines' delays and their maximum relative
 // spread for a driven line. It is the engine cross-validation used by
-// tests and recorded in EXPERIMENTS.md.
+// tests.
 type Agreement struct {
 	MNA, Ratfun, ExactTF float64
 	// Spread is max pairwise |a−b| / mean.

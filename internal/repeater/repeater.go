@@ -170,7 +170,8 @@ func TotalDelay(ln tline.Line, b Buffer, h, k float64) (float64, error) {
 // this objective is minimized at *larger* k than Eqs. 14/15 predict.
 // The physically meaningful optimum — which penalizes each extra
 // repeater's gate-charging time that Eq. 9's ζ-only fit washes out — is
-// OptimizeTrue. See EXPERIMENTS.md (E3/E4) for the measured comparison.
+// OptimizeTrue. `paperfigs -fig4 -true` prints the measured comparison
+// (E3/E4).
 func OptimizeEq9(ln tline.Line, b Buffer) (h, k, delay float64, err error) {
 	h0, k0, err := ClosedFormHK(ln, b)
 	if err != nil {

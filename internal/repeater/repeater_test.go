@@ -205,7 +205,7 @@ func TestDelayIncreaseAnchors(t *testing.T) {
 	// engine: RC-vs-closed-form (Eq. 16) gives ≈+5% at T=3 and ≈+3% at
 	// T=5 (and inverts at large T where Eq. 15 over-shrinks k);
 	// RC-vs-true-optimum preserves the paper's monotone shape at ≈60%
-	// magnitude. Both are recorded in EXPERIMENTS.md; here we pin the
+	// magnitude. `paperfigs -increase` prints both; here we pin the
 	// measured behaviour.
 	got3, err := DelayIncrease(lineWithTLR(3), testBuffer)
 	if err != nil {

@@ -289,33 +289,37 @@ func (t *Tree) ToCircuit(d Drive, delay float64) (*circuit.Circuit, []int, error
 	if err := ckt.AddR("rtr", src, nodeOf[0], rtr); err != nil {
 		return nil, nil, err
 	}
+	// Element names are built by concatenation, not fmt: fmt's pooled
+	// printers make allocation counts nondeterministic under the race
+	// detector, which drops pooled items at random.
 	for i := 1; i < len(t.parent); i++ {
 		from := nodeOf[t.parent[i]]
 		ni := ckt.Node()
 		nodeOf[i] = ni
 		r, l := t.r[i], t.l[i]
+		b := "b" + strconv.Itoa(i)
 		switch {
 		case r > 0 && l > 0:
 			mid := ckt.Node()
-			if err := ckt.AddR(fmt.Sprintf("b%d.r", i), from, mid, r); err != nil {
+			if err := ckt.AddR(b+".r", from, mid, r); err != nil {
 				return nil, nil, err
 			}
-			if err := ckt.AddL(fmt.Sprintf("b%d.l", i), mid, ni, l); err != nil {
+			if err := ckt.AddL(b+".l", mid, ni, l); err != nil {
 				return nil, nil, err
 			}
 		case r > 0:
-			if err := ckt.AddR(fmt.Sprintf("b%d.r", i), from, ni, r); err != nil {
+			if err := ckt.AddR(b+".r", from, ni, r); err != nil {
 				return nil, nil, err
 			}
 		default: // l > 0, enforced at Add
-			if err := ckt.AddL(fmt.Sprintf("b%d.l", i), from, ni, l); err != nil {
+			if err := ckt.AddL(b+".l", from, ni, l); err != nil {
 				return nil, nil, err
 			}
 		}
 	}
 	for i := range t.parent {
 		if c := t.c[i] + t.load[i]; c > 0 {
-			if err := ckt.AddC(fmt.Sprintf("n%d.c", i), nodeOf[i], circuit.Ground, c); err != nil {
+			if err := ckt.AddC("n"+strconv.Itoa(i)+".c", nodeOf[i], circuit.Ground, c); err != nil {
 				return nil, nil, err
 			}
 		}
@@ -388,9 +392,10 @@ func runCrossings(sim func(mna.Options) (*mna.Result, error), opts mna.Options, 
 
 // delaysMNA measures every sink's 50% delay from one shared transient:
 // all sinks are probed in a single mna.Simulate solve, so the cost is
-// one band factorization and one step loop regardless of sink count —
-// this is what makes multi-sink nets cheaper than N point-to-point
-// analyses (BenchmarkTreeDelay quantifies it).
+// one factorization (the tree's no-fill LU) and one step loop
+// regardless of sink count — this is what makes multi-sink nets
+// cheaper than N point-to-point analyses (BenchmarkTreeDelay
+// quantifies it).
 func delaysMNA(t *Tree, d Drive, cfg Config, table []SinkDelay) ([]float64, error) {
 	dt, delay, tEnd := t.transientPlan(d, cfg, table)
 	ckt, nodeOf, err := t.ToCircuit(d, delay)

@@ -18,7 +18,10 @@ import (
 // fidelity, always in the documented accuracy order:
 //
 //	sweep:  simulated → reduced → closed;  smart → closed
-//	tree:   mna → reduced → closed
+//	tree:   mna → closed;  reduced → closed
+//
+// The tree chains skip reduced: it is priced above MNA (a build cost
+// plus MNA's per-node cost), so it never fits where MNA did not.
 //
 // A degraded response says so — degraded:true plus a degrade_reason
 // spelling out the budget arithmetic — and is never cached, so a later
@@ -35,16 +38,17 @@ const (
 	costSweepReduced   = 300 * time.Microsecond
 	costSweepSimulated = 1200 * time.Microsecond
 
-	// Tree engines cost per node: the shared MNA transient factors and
-	// steps a banded system sized by the node count up to its last 50%
-	// crossing (BenchmarkTreeDelay: 127 nodes, ~17 ms on a 2-vCPU
-	// x86-64 VM); the reduced engine pays a per-tree Arnoldi build
+	// Tree engines cost per node: the shared MNA transient steps the
+	// tree's no-fill LU, O(nodes) per timestep, up to its last 50%
+	// crossing, after a closed-form table that plans it
+	// (BenchmarkTreeDelay: 127 nodes, ~1.5 ms on a 2-vCPU x86-64 VM);
+	// the reduced engine pays a per-tree Arnoldi build
 	// (BenchmarkMORBuild: ~17 ms) plus a per-node transient — priced
 	// as MNA's, which it runs whenever certification fails — and the
 	// closed form is two moment traversals.
-	costTreeMNAPerNode     = 300 * time.Microsecond
+	costTreeMNAPerNode     = 25 * time.Microsecond
 	costTreeReducedBuild   = 35 * time.Millisecond
-	costTreeReducedPerNode = 300 * time.Microsecond
+	costTreeReducedPerNode = 25 * time.Microsecond
 	costTreeClosedPerNode  = 3 * time.Microsecond
 )
 
@@ -138,31 +142,16 @@ func treeEngineCost(engine rlckit.TreeEngine, nodes int) time.Duration {
 	}
 }
 
-// treeDowngrade is the next-cheaper tree engine in the chain.
-func treeDowngrade(engine rlckit.TreeEngine) rlckit.TreeEngine {
-	if engine == rlckit.TreeEngineMNA {
-		return rlckit.TreeEngineReduced
-	}
-	return rlckit.TreeEngineClosed
-}
-
 // degradeTree picks the engine a tree analysis of `nodes` nodes should
-// run with under ctx's budget, mirroring degradeSweep.
+// run with under ctx's budget: the requested engine when its estimate
+// fits, else the closed form.
 func degradeTree(ctx context.Context, requested rlckit.TreeEngine, nodes int) (engine rlckit.TreeEngine, reason string) {
 	budget, ok := remainingBudget(ctx)
-	if !ok {
+	if !ok || requested == rlckit.TreeEngineClosed ||
+		float64(treeEngineCost(requested, nodes)) <= budgetSlack*float64(budget) {
 		return requested, ""
 	}
-	engine = requested
-	for {
-		if float64(treeEngineCost(engine, nodes)) <= budgetSlack*float64(budget) || engine == rlckit.TreeEngineClosed {
-			break
-		}
-		engine = treeDowngrade(engine)
-	}
-	if engine == requested {
-		return engine, ""
-	}
+	engine = rlckit.TreeEngineClosed
 	return engine, fmt.Sprintf("engine %s needs ~%s for %d nodes but the deadline leaves %s; degraded to %s",
 		requested, treeEngineCost(requested, nodes).Round(time.Millisecond),
 		nodes, budget.Round(time.Millisecond), engine)

@@ -36,9 +36,12 @@ import (
 // storeVersion is the serving layer's store-format version, stamped
 // into the snapshot and journal headers. Bump it when the cacheKey
 // codec, the canonical tree encoding inside it, or the journal record
-// shape changes incompatibly: stale files are then dropped wholesale at
-// open (a cold start), never misread. Version 2: binary tree keys.
-const storeVersion = 2
+// shape changes incompatibly, or when an engine's answers change bits:
+// stale files are then dropped wholesale at open (a cold start), never
+// misread or served with old bits. Version 2: binary tree keys.
+// Version 3: tree MNA transients step on the no-fill tree LU, which
+// rounds differently from band LU (~1e-14 relative).
+const storeVersion = 3
 
 // Store namespaces.
 const (

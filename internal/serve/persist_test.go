@@ -169,28 +169,9 @@ func TestWarmStartServesIdenticalBytes(t *testing.T) {
 // a previously-cached expensive net must answer at least 10× faster
 // warm than its cold compute.
 func TestWarmStartAtLeast10xFaster(t *testing.T) {
-	// A ~100-node balanced tree under the exact MNA engine: a few
-	// milliseconds cold, microseconds from the cache.
-	var b strings.Builder
-	b.WriteString(`{"tree":{"root_c":5e-15,"branches":[`)
-	n := 100
-	for i := 1; i <= n; i++ {
-		if i > 1 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, `{"parent":%d,"r":20,"l":5e-10,"c":4e-14}`, (i-1)/2)
-	}
-	b.WriteString(`],"sinks":[`)
-	first := true
-	for i := n/2 + 1; i <= n; i++ {
-		if !first {
-			b.WriteByte(',')
-		}
-		first = false
-		fmt.Fprintf(&b, `{"node":%d,"cl":2e-14}`, i)
-	}
-	b.WriteString(`]},"drive":{"rtr":80},"engine":"mna"}`)
-	body := b.String()
+	// The 33-sink stiff tree under the exact MNA engine: tens of
+	// milliseconds cold, well under one from the cache.
+	body := stiffTreeBody(5, "mna")
 
 	dir := t.TempDir()
 	a := newTestServer(t, storeConfig(dir))

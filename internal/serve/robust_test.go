@@ -25,22 +25,32 @@ const slowSweepBody = `{"node":"250nm","nets":10000,"seed":3,"rise_s":5e-11,"est
 
 // tree64Body renders a 64-sink (127-node) balanced binary tree — the
 // same family as rlctree's bench64.
-func tree64Body(engine string) string { return binaryTreeBody(6, 40, 0, engine) }
+func tree64Body(engine string) string { return binaryTreeBody(6, 40, 0, 1, engine) }
 
-// stiffTreeBody renders a stiff 33-sink tree: a 32-leaf binary tree
-// driven through 0.1 Ω, plus a sink on the driven root. The root sink
-// crosses within picoseconds, which sets the shared timestep, while
-// the leaves take over ten thousand steps to cross: the stopped MNA
-// transient runs ~250 ms on a 2-vCPU x86-64 VM, each step cheap enough
-// that a cancellation checkpoint comes around within milliseconds even
-// under the race detector.
-func stiffTreeBody(engine string) string { return binaryTreeBody(5, 0.1, 1e-15, engine) }
+// tree2047Body renders a 2047-node balanced binary tree with a sink on
+// every 64th leaf (16 sinks): its node count puts the MNA estimate
+// (~51 ms) past a 40 ms deadline, while the closed form's cost, mostly
+// per sink, stays a small fraction of it even under the race detector.
+func tree2047Body(engine string) string { return binaryTreeBody(10, 40, 0, 64, engine) }
 
-// binaryTreeBody renders a balanced binary tree with 2^levels leaf
-// sinks, its branches in heap order (node i hangs under node (i−1)/2)
-// with a mild per-branch asymmetry so the skew is nonzero, driven
-// through rtr; a positive rootLoad also marks the root a sink.
-func binaryTreeBody(levels int, rtr, rootLoad float64, engine string) string {
+// stiffTreeBody renders a stiff tree with 2^levels + 1 sinks: a binary
+// tree driven through 0.1 Ω, plus a sink on the driven root. The root
+// sink crosses within picoseconds, which sets the shared timestep,
+// while the leaves take over ten thousand steps to cross. With the tree
+// LU each step costs O(nodes): at 8 levels (257 sinks) the stopped MNA
+// transient runs ~90 ms on a 2-vCPU x86-64 VM, and a 64-step
+// cancellation checkpoint comes around within ~10 ms even under the
+// race detector; at 5 levels (33 sinks) it runs ~25 ms.
+func stiffTreeBody(levels int, engine string) string {
+	return binaryTreeBody(levels, 0.1, 1e-15, 1, engine)
+}
+
+// binaryTreeBody renders a balanced binary tree with 2^levels leaves,
+// every stride-th of them a sink, its branches in heap order (node i
+// hangs under node (i−1)/2) with a mild per-branch asymmetry so the
+// skew is nonzero, driven through rtr; a positive rootLoad also marks
+// the root a sink.
+func binaryTreeBody(levels int, rtr, rootLoad float64, stride int, engine string) string {
 	var b strings.Builder
 	b.WriteString(`{"tree":{"root_c":2e-15,"branches":[`)
 	for i := 0; i < 1<<(levels+1)-2; i++ {
@@ -52,7 +62,7 @@ func binaryTreeBody(levels int, rtr, rootLoad float64, engine string) string {
 	}
 	b.WriteString(`],"sinks":[`)
 	// The last 2^levels nodes are the leaves.
-	for i := 0; i < 1<<levels; i++ {
+	for i := 0; i < 1<<levels; i += stride {
 		if i > 0 {
 			b.WriteByte(',')
 		}
@@ -137,10 +147,10 @@ func TestSweepCancelMidFlightLatency(t *testing.T) {
 }
 
 // TestTreeCancelMidFlightLatency cancels the stopped MNA transient of
-// the stiff tree after the 30 ms warm-up.
+// the 257-sink stiff tree after the 30 ms warm-up.
 func TestTreeCancelMidFlightLatency(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 2})
-	lat, rec := cancelLatency(t, s, "/v1/tree", stiffTreeBody("mna"), 30*time.Millisecond)
+	lat, rec := cancelLatency(t, s, "/v1/tree", stiffTreeBody(8, "mna"), 30*time.Millisecond)
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503: %s", rec.Code, rec.Body)
 	}
@@ -228,7 +238,7 @@ func TestSweepDegradesUnderDeadline(t *testing.T) {
 
 func TestTreeDegradesUnderDeadline(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 2, RequestTimeout: 40 * time.Millisecond})
-	rec := post(s.Handler(), "/v1/tree", tree64Body("mna"))
+	rec := post(s.Handler(), "/v1/tree", tree2047Body("mna"))
 	if rec.Code != 200 {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body)
 	}
@@ -242,7 +252,7 @@ func TestTreeDegradesUnderDeadline(t *testing.T) {
 	// The same request without a deadline answers with the full engine
 	// and is cacheable.
 	s2 := newTestServer(t, Config{Workers: 2})
-	rec = post(s2.Handler(), "/v1/tree", tree64Body("mna"))
+	rec = post(s2.Handler(), "/v1/tree", tree2047Body("mna"))
 	if rec.Code != 200 || !strings.Contains(rec.Body.String(), `"engine":"mna"`) {
 		t.Fatalf("undegraded request: status %d: %.200s", rec.Code, rec.Body)
 	}

@@ -342,7 +342,7 @@ func TestSessionCancel(t *testing.T) {
 // like /v1/tree.
 func TestSessionDegradesUnderDeadline(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 2, RequestTimeout: 40 * time.Millisecond})
-	open := openSession(t, s, tree64Body("mna"))
+	open := openSession(t, s, tree2047Body("mna"))
 	var res TreeResponse
 	if err := json.Unmarshal(open.Result, &res); err != nil {
 		t.Fatal(err)
